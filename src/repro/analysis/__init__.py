@@ -14,10 +14,16 @@ machinery:
   double counted (sum of per-task ledgers + declared overhead equals
   the whole-factorization ledger) and that a simulated
   :class:`~repro.parallel.sim.Schedule` is self-consistent;
+* :mod:`repro.analysis.core` — the index the four source-level
+  checkers below share: each module parsed and its pins tokenized once,
+  one scope table, function table, registry, fixed-point helper and
+  finalize step.  Each checker is a pass over it (:data:`CHECKERS`)
+  with ``*_source`` / ``*_paths`` / ``*_tree`` entry points, and
+  ``python -m repro analyze all`` hands one index to all four passes;
 * :mod:`repro.analysis.lint` — AST lint enforcing the repo's
   cost-model discipline (no wall clocks in kernels, ledgers flow
   through parameters, no bare ``except``, no mutable defaults, no
-  nondeterminism in kernels);
+  nondeterminism in kernels, no mutable module state);
 * :mod:`repro.analysis.domains` — interprocedural index-domain checker
   that tracks which index space (``global``, ``btf``, ``nd``,
   ``local:block``) each permutation and index array lives in, using the
@@ -31,19 +37,19 @@ machinery:
   checks them against the declared contracts: ``SimTask`` read/write
   sets (E1), :func:`repro.contracts.effects` purity declarations (E2),
   process-safety for a real worker-pool backend (E3), same-level
-  write-set disjointness including symbolic audits of the compiled
-  :mod:`repro.sparse.schedule` plans (E4), and numpy in-place misuse
-  (E5);
+  write-set disjointness (E4), and numpy in-place misuse (E5);
 * :mod:`repro.analysis.shapes` — symbolic shape/bounds/dtype abstract
   interpreter assigning every array a symbolic shape in a lattice of
   named dimensions plus an index-range interval, checked against
   :func:`repro.contracts.shapes` declarations: gather out-of-bounds
   (S1), scatter/``reduceat`` precondition violations (S2), shape
   conformance across elementwise ops (S3), index-width hazards (S4)
-  and declared-vs-inferred contract mismatches (S5), plus concrete
-  ``audit_schedule_buffers`` bounds audits of compiled
-  :mod:`repro.sparse.schedule` plans and a runtime differential
-  contract checker;
+  and declared-vs-inferred contract mismatches (S5), plus a runtime
+  differential contract checker;
+* :mod:`repro.analysis.plans` — concrete audits of compiled
+  :mod:`repro.sparse.schedule` plans, one walk per schedule kind
+  feeding both the E4 write-disjointness audit and the S1–S3
+  buffer-bounds audit (``repro analyze {effects,shapes,all} --plans``);
 * :mod:`repro.analysis.baseline` — fingerprinted finding baselines so
   ``repro analyze <checker> --baseline FILE`` fails only on *new*
   findings (the CI regression gate).
@@ -63,6 +69,7 @@ from .baseline import (
 )
 from .conservation import ConservationReport, check_conservation, check_schedule
 from .domains import (
+    DOMAINS,
     Domain,
     DomainFinding,
     check_domains_paths,
@@ -71,6 +78,7 @@ from .domains import (
     parse_domain,
 )
 from .effects import (
+    EFFECTS,
     EffectFinding,
     FunctionEffects,
     audit_refactor_schedule,
@@ -82,8 +90,10 @@ from .effects import (
     summary_for,
 )
 from .hazards import Hazard, HazardReport, check_hazards, happens_before
-from .lint import LintFinding, lint_paths, lint_source, lint_tree
+from .lint import LINT, LintFinding, lint_paths, lint_source, lint_tree
+from .plans import audit_plan
 from .shapes import (
+    SHAPES,
     ShapeContractError,
     ShapeFinding,
     audit_schedule_buffers,
@@ -136,4 +146,9 @@ __all__ = [
     "apply_baseline",
     "write_baseline",
     "write_baseline_many",
+    "CHECKERS",
+    "audit_plan",
 ]
+
+# The file-tree checkers, each a pass over one shared core.ModuleIndex.
+CHECKERS = {"lint": LINT, "domains": DOMAINS, "effects": EFFECTS, "shapes": SHAPES}

@@ -68,12 +68,11 @@ domains``).
 from __future__ import annotations
 
 import ast
-import io
-import os
 import re
-import tokenize
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from . import core
 
 __all__ = [
     "Domain",
@@ -95,7 +94,6 @@ KINDS = ("perm", "index", "vec", "matrix")
 
 _SPACE_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_:.\-]*$")
 _DOMAIN_RE = re.compile(r"^\s*(perm|index|vec|matrix)\s*\[\s*([^\[\]]+?)\s*\]\s*$")
-_COMMENT_RE = re.compile(r"#\s*domain:\s*(.+?)\s*$")
 _NAMED_RE = re.compile(r"^(\w+)\s*=\s*(.+)$")
 
 # Functions that return their input unchanged (domain-wise).  Attribute
@@ -130,17 +128,7 @@ class Domain:
         return "%s[%s]" % (self.kind, self.s1 or "?")
 
 
-@dataclass(frozen=True)
-class DomainFinding:
-    """One diagnostic: ``path:line CODE message``."""
-
-    path: str
-    line: int
-    code: str
-    message: str
-
-    def __str__(self) -> str:
-        return "%s:%d %s %s" % (self.path, self.line, self.code, self.message)
+DomainFinding = core.Finding
 
 
 def _is_var(space: Optional[str]) -> bool:
@@ -209,61 +197,33 @@ class FunctionContract:
         )
 
 
-class ContractRegistry:
-    """Contracts collected across a set of sources, keyed by name.
+class ContractRegistry(core.Registry):
+    """Contracts by simple callee name and by function node.
 
-    Call sites are matched by the simple callee name (``f(...)`` or
-    ``obj.f(...)``).  When several decorated functions share a name the
-    registry only answers if their declarations agree (e.g. ``factor``
-    on both ``KLU`` and ``Basker``); otherwise the name is ambiguous
-    and call sites against it are skipped.
+    A name shared by several decorated functions resolves only if their
+    declarations agree (e.g. ``factor`` on both ``KLU`` and ``Basker``);
+    otherwise call sites against it are skipped.
     """
 
     def __init__(self) -> None:
-        self._by_name: Dict[str, List[FunctionContract]] = {}
-        # contracts keyed by AST node identity, for checking bodies
+        super().__init__(key=FunctionContract.signature_key)
         self._by_node: Dict[int, FunctionContract] = {}
 
     def add(self, contract: FunctionContract, node: ast.AST) -> None:
-        self._by_name.setdefault(contract.name, []).append(contract)
+        super().add(contract)
         self._by_node[id(node)] = contract
-
-    def lookup(self, name: str) -> Optional[FunctionContract]:
-        group = self._by_name.get(name)
-        if not group:
-            return None
-        first = group[0]
-        key = first.signature_key()
-        for other in group[1:]:
-            if other.signature_key() != key:
-                return None  # ambiguous name, disagreeing declarations
-        return first
 
     def for_node(self, node: ast.AST) -> Optional[FunctionContract]:
         return self._by_node.get(id(node))
 
 
-def _decorator_is_domains(dec: ast.expr) -> bool:
-    if not isinstance(dec, ast.Call):
-        return False
-    fn = dec.func
-    if isinstance(fn, ast.Name):
-        return fn.id == "domains"
-    if isinstance(fn, ast.Attribute):
-        return fn.attr == "domains"
-    return False
-
-
 def _collect_contracts(
-    tree: ast.Module, relpath: str, registry: ContractRegistry, findings: List[DomainFinding]
+    module: core.Module, registry: ContractRegistry, findings: List[DomainFinding]
 ) -> None:
-    """Pass 1: read every ``@domains(...)`` declaration in *tree*."""
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for dec in node.decorator_list:
-            if not _decorator_is_domains(dec):
-                continue
+    """Pass 1: read every ``@domains(...)`` declaration in *module*."""
+    relpath = module.relpath
+    for node in (f.node for f in module.functions):
+        for dec in core.decorators(node, "domains"):
             arg_names = [a.arg for a in node.args.posonlyargs + node.args.args]
             is_method = bool(arg_names) and arg_names[0] in ("self", "cls")
             order = tuple(arg_names[1:] if is_method else arg_names)
@@ -316,9 +276,9 @@ def _collect_contracts(
 
 
 def _scan_comments(
-    source: str, relpath: str, findings: List[DomainFinding]
+    module: core.Module, findings: List[DomainFinding]
 ) -> Tuple[Dict[int, Domain], List[Tuple[int, str, Domain]]]:
-    """Pre-scan ``# domain:`` comments.
+    """Read the module's ``# domain:`` pins.
 
     Returns ``(trailing, named)``: *trailing* maps a line number to the
     domain its assignment target should take; *named* is a list of
@@ -327,20 +287,7 @@ def _scan_comments(
     """
     trailing: Dict[int, Domain] = {}
     named: List[Tuple[int, str, Domain]] = []
-    # Real COMMENT tokens only — the marker appearing inside a
-    # docstring or string literal is prose, not a declaration.
-    comments: List[Tuple[int, str]] = []
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type == tokenize.COMMENT:
-                comments.append((tok.start[0], tok.string))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return trailing, named  # the AST pass reports the syntax error
-    for lineno, text in comments:
-        m = _COMMENT_RE.search(text)
-        if m is None:
-            continue
-        payload = m.group(1)
+    for lineno, payload in module.pins("domain"):
         nm = _NAMED_RE.match(payload)
         try:
             if nm is not None and nm.group(1) not in KINDS:
@@ -350,7 +297,7 @@ def _scan_comments(
                 if dom is not None:
                     trailing[lineno] = dom
         except DomainSyntaxError as exc:
-            findings.append(DomainFinding(relpath, lineno, "D5", str(exc)))
+            findings.append(DomainFinding(module.relpath, lineno, "D5", str(exc)))
     return trailing, named
 
 
@@ -466,19 +413,12 @@ class _FunctionChecker(ast.NodeVisitor):
         if self.contract is None or self.contract.returns is None or actual is None:
             return
         declared = self.contract.returns
-        if declared.kind != actual.kind:
+        if declared.kind != actual.kind or _conflict(declared.s1, actual.s1) \
+                or _conflict(declared.s2, actual.s2):
             self._report(
                 stmt, "D1",
                 "%s() declared to return %s but returns %s"
                 % (self.contract.name, declared, actual))
-            return
-        for d, a in ((declared.s1, actual.s1), (declared.s2, actual.s2)):
-            if _conflict(d, a):
-                self._report(
-                    stmt, "D1",
-                    "%s() declared to return %s but returns %s"
-                    % (self.contract.name, declared, actual))
-                return
 
     # -- expression inference --------------------------------------------
 
@@ -526,11 +466,7 @@ class _FunctionChecker(ast.NodeVisitor):
         kw_doms = {kw.arg: self.infer(kw.value) for kw in node.keywords}
 
         func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
+        name = core.call_name(node)
 
         # Domain-preserving wrappers.
         if name in _PASSTHROUGH_ARG0 and node.args:
@@ -548,7 +484,7 @@ class _FunctionChecker(ast.NodeVisitor):
 
         if name is None:
             return None
-        contract = self.registry.lookup(name)
+        contract = self.registry.resolve(name)
         if contract is None:
             return None
         return self._check_call(node, contract, arg_doms, kw_doms)
@@ -728,87 +664,37 @@ class _FunctionChecker(ast.NodeVisitor):
 
 
 # ---------------------------------------------------------------------------
-# drivers
+# the pass and its entry points
 
 
-def _package_root() -> str:
-    return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _iter_sources(root: str) -> Iterable[Tuple[str, str]]:
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-        for fname in sorted(filenames):
-            if fname.endswith(".py"):
-                full = os.path.join(dirpath, fname)
-                rel = os.path.relpath(full, root)
-                yield full, rel.replace(os.sep, "/")
-
-
-@dataclass
-class _ParsedSource:
-    relpath: str
-    tree: ast.Module
-    trailing: Dict[int, Domain]
-    named: List[Tuple[int, str, Domain]]
-
-
-def _parse_sources(
-    sources: Sequence[Tuple[str, str]],
-    registry: ContractRegistry,
-    findings: List[DomainFinding],
-) -> List[_ParsedSource]:
-    parsed: List[_ParsedSource] = []
-    for source, relpath in sources:
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            findings.append(
-                DomainFinding(relpath, exc.lineno or 0, "D5",
-                              "syntax error: %s" % exc.msg))
+def _domains(index: core.ModuleIndex) -> List[DomainFinding]:
+    registry = ContractRegistry()
+    findings: List[DomainFinding] = []
+    comments = {}
+    for module in index.parsed:
+        comments[module] = _scan_comments(module, findings)
+        _collect_contracts(module, registry, findings)
+    for module in index.parsed:
+        if not index.reported(module.relpath):
             continue
-        trailing, named = _scan_comments(source, relpath, findings)
-        _collect_contracts(tree, relpath, registry, findings)
-        parsed.append(_ParsedSource(relpath, tree, trailing, named))
-    return parsed
-
-
-def _function_span_comments(
-    parsed: _ParsedSource, node: ast.AST
-) -> Tuple[Dict[int, Domain], List[Tuple[int, str, Domain]]]:
-    lo = node.lineno
-    hi = getattr(node, "end_lineno", None) or 10**9
-    trailing = {ln: d for ln, d in parsed.trailing.items() if lo <= ln <= hi}
-    named = [(ln, n, d) for ln, n, d in parsed.named if lo <= ln <= hi]
-    return trailing, named
-
-
-def _check_parsed(
-    parsed_sources: Sequence[_ParsedSource],
-    registry: ContractRegistry,
-    findings: List[DomainFinding],
-) -> None:
-    for parsed in parsed_sources:
+        trailing, named = comments[module]
         # module top level (skips nested function/class bodies)
-        top = _FunctionChecker(
-            parsed.relpath, registry, parsed.trailing, parsed.named, findings)
-        top.run_body(
-            [s for s in parsed.tree.body
+        _FunctionChecker(module.relpath, registry, trailing, named, findings).run_body(
+            [s for s in module.tree.body
              if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))])
         # every function and method, each in its own environment
-        for node in ast.walk(parsed.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            trailing, named = _function_span_comments(parsed, node)
+        for fn in module.functions:
+            lo, hi = fn.node.lineno, fn.node.end_lineno
             checker = _FunctionChecker(
-                parsed.relpath, registry, trailing, named, findings,
-                contract=registry.for_node(node))
-            checker.run_body(node.body)
+                module.relpath, registry,
+                {ln: d for ln, d in trailing.items() if lo <= ln <= hi},
+                [t for t in named if lo <= t[0] <= hi],
+                findings, contract=registry.for_node(fn.node))
+            checker.run_body(fn.node.body)
+    return findings
 
 
-def _finalize(findings: List[DomainFinding]) -> List[DomainFinding]:
-    unique = sorted(set(findings), key=lambda f: (f.path, f.line, f.code, f.message))
-    return unique
+DOMAINS = core.Checker("D5", _domains)
 
 
 def check_domains_source(
@@ -822,12 +708,8 @@ def check_domains_source(
     pair in *extra_sources*; findings are reported for all of them.
     Mostly a unit-test entry point.
     """
-    registry = ContractRegistry()
-    findings: List[DomainFinding] = []
-    pairs = [(source, relpath)] + list(extra_sources or ())
-    parsed = _parse_sources(pairs, registry, findings)
-    _check_parsed(parsed, registry, findings)
-    return _finalize(findings)
+    return core.check_source(DOMAINS, source, relpath, extra_sources,
+                             report_all=True)
 
 
 def check_domains_paths(
@@ -840,34 +722,9 @@ def check_domains_paths(
     only for the given files — this is how the seeded-violation fixtures
     are checked without muddying the tree-wide gate.
     """
-    root = package_root or _package_root()
-    registry = ContractRegistry()
-    tree_findings: List[DomainFinding] = []
-    package_sources = []
-    for full, rel in _iter_sources(root):
-        with open(full, "r", encoding="utf-8") as fh:
-            package_sources.append((fh.read(), rel))
-    _parse_sources(package_sources, registry, tree_findings)
-
-    findings: List[DomainFinding] = []
-    target_sources = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            target_sources.append((fh.read(), path))
-    parsed_targets = _parse_sources(target_sources, registry, findings)
-    _check_parsed(parsed_targets, registry, findings)
-    return _finalize(findings)
+    return core.check_paths(DOMAINS, paths, package_root)
 
 
 def check_domains_tree(root: Optional[str] = None) -> List[DomainFinding]:
     """Check every module of the package — the CI gate."""
-    root = root or _package_root()
-    registry = ContractRegistry()
-    findings: List[DomainFinding] = []
-    sources = []
-    for full, rel in _iter_sources(root):
-        with open(full, "r", encoding="utf-8") as fh:
-            sources.append((fh.read(), rel))
-    parsed = _parse_sources(sources, registry, findings)
-    _check_parsed(parsed, registry, findings)
-    return _finalize(findings)
+    return core.check_tree(DOMAINS, root)

@@ -65,12 +65,15 @@ and silent, so an unannotated module produces no false positives.
 
 Plan-level E4 complements the AST rule for the compiled replay plans of
 :mod:`repro.sparse.schedule`: :func:`audit_triangular_schedule` and
-:func:`audit_refactor_schedule` verify that within every level/stage the
-finalized columns are unique and the post-grouping scatter targets are
-pairwise disjoint (the symbolic precondition for running a level's
-gather/scatter in parallel).
+:func:`audit_refactor_schedule` (from :mod:`repro.analysis.plans`)
+verify that within every level/stage the finalized columns are unique
+and the post-grouping scatter targets are pairwise disjoint (the
+symbolic precondition for running a level's gather/scatter in
+parallel).
 
-Entry points mirror :mod:`repro.analysis.domains`:
+The checker is a pass over the shared :mod:`repro.analysis.core` index;
+E3's module-state half uses the same detector as lint R6.  Entry points
+mirror :mod:`repro.analysis.domains`:
 :func:`check_effects_source`, :func:`check_effects_paths` (fixtures;
 treated as kernel modules), :func:`check_effects_tree` (the CI gate,
 ``python -m repro analyze effects``) and
@@ -80,12 +83,12 @@ treated as kernel modules), :func:`check_effects_tree` (the CI gate,
 from __future__ import annotations
 
 import ast
-import io
-import os
-import re
-import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+
+from . import core
+from .core import PROCESS_DIRS, call_name as _call_name, walk_own as _walk_own
+from .plans import audit_refactor_schedule, audit_triangular_schedule
 
 __all__ = [
     "EffectFinding",
@@ -96,13 +99,8 @@ __all__ = [
     "collect_effect_summaries",
     "audit_triangular_schedule",
     "audit_refactor_schedule",
-    "EFFECT_KERNEL_DIRS",
+    "summary_for",
 ]
-
-# Packages whose code is destined for the real shared-memory backend.
-EFFECT_KERNEL_DIRS = ("core", "solvers", "sparse", "ordering", "graph", "parallel")
-
-_PIN_RE = re.compile(r"#\s*effects:\s*(.+?)\s*$")
 
 # Method names that mutate their receiver in place.
 _MUTATOR_METHODS = {
@@ -125,28 +123,13 @@ _BROADCAST_MAKERS = {"broadcast_to", "as_strided"}
 _DEFAULT_DISPATCH = {"parallel_map"}
 # Value expressions that alias argument 0 (may return the same buffer).
 _ALIAS_ARG0_CALLS = {"asarray", "asanyarray", "ascontiguousarray", "require"}
-# Constructors whose module-level use creates mutable state (R6 / E3).
-_MUTABLE_CONSTRUCTORS = {
-    "dict", "list", "set", "defaultdict", "OrderedDict", "deque",
-    "Counter", "bytearray",
-}
 
 # Emission kwargs: read-side and write-side key lists.
 _READ_KWARGS = ("reads", "chunk_reads")
 _WRITE_KWARGS = ("writes", "final_writes")
 
 
-@dataclass(frozen=True)
-class EffectFinding:
-    """One diagnostic: ``path:line CODE message``."""
-
-    path: str
-    line: int
-    code: str
-    message: str
-
-    def __str__(self) -> str:
-        return "%s:%d %s %s" % (self.path, self.line, self.code, self.message)
+EffectFinding = core.Finding
 
 
 @dataclass
@@ -198,24 +181,14 @@ class _ModulePins:
     emitters: Set[str] = field(default_factory=set)
     dispatch: Set[str] = field(default_factory=set)
     ordered_lines: Set[int] = field(default_factory=set)
-    global_ok_lines: Set[int] = field(default_factory=set)
 
 
-def _scan_pins(source: str, relpath: str, findings: List[EffectFinding]) -> _ModulePins:
-    """Collect ``# effects:`` pins from real COMMENT tokens."""
+def _scan_pins(module: core.Module, findings: List[EffectFinding]) -> _ModulePins:
+    """Collect the module's ``# effects:`` pins."""
     pins = _ModulePins()
-    try:
-        toks = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return pins  # the AST pass reports the syntax error
-    for tok in toks:
-        if tok.type != tokenize.COMMENT:
-            continue
-        m = _PIN_RE.search(tok.string)
-        if m is None:
-            continue
-        lineno = tok.start[0]
-        payload = m.group(1).split()
+    relpath = module.relpath
+    for lineno, text in module.pins("effects"):
+        payload = text.split()
         if not payload:
             continue
         kind, rest = payload[0], payload[1:]
@@ -249,18 +222,11 @@ def _scan_pins(source: str, relpath: str, findings: List[EffectFinding]) -> _Mod
                     relpath, lineno, "E0", "'# effects: dispatch' names no functions"))
         elif kind == "ordered":
             pins.ordered_lines.add(lineno)
-        elif kind == "global-ok":
-            pins.global_ok_lines.add(lineno)
-        else:
+        elif kind != "global-ok":  # global-ok is read by core.mutable_state
             findings.append(EffectFinding(
                 relpath, lineno, "E0",
                 "unknown '# effects:' pin kind %r" % kind))
     return pins
-
-
-def _is_effect_kernel(relpath: str) -> bool:
-    parts = relpath.replace(os.sep, "/").split("/")
-    return any(p in parts[:-1] for p in EFFECT_KERNEL_DIRS)
 
 
 def _base_name(node: ast.expr) -> Optional[str]:
@@ -272,56 +238,17 @@ def _base_name(node: ast.expr) -> Optional[str]:
             return node.id
         if isinstance(node, (ast.Subscript, ast.Attribute, ast.Starred)):
             node = node.value
-        elif isinstance(node, ast.Call):
-            fn = node.func
-            name = fn.id if isinstance(fn, ast.Name) else (
-                fn.attr if isinstance(fn, ast.Attribute) else None)
-            if name in _ALIAS_ARG0_CALLS and node.args:
-                node = node.args[0]
-            else:
-                return None
+        elif isinstance(node, ast.Call) and node.args \
+                and _call_name(node) in _ALIAS_ARG0_CALLS:
+            node = node.args[0]
         else:
             return None
-
-
-def _call_name(node: ast.Call) -> Optional[str]:
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    return None
-
-
-def _walk_own(node: ast.AST) -> Iterable[ast.AST]:
-    """Walk a subtree without descending into nested function/class
-    bodies or lambdas."""
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
-                            ast.ClassDef)) and cur is not node:
-            continue
-        stack.extend(ast.iter_child_nodes(cur))
-
-
-def _decorator_is_effects(dec: ast.expr) -> bool:
-    if not isinstance(dec, ast.Call):
-        return False
-    fn = dec.func
-    if isinstance(fn, ast.Name):
-        return fn.id == "effects"
-    if isinstance(fn, ast.Attribute):
-        return fn.attr == "effects"
-    return False
 
 
 def _parse_effects_decorator(
     node: ast.AST, relpath: str, findings: List[EffectFinding]
 ) -> Optional[dict]:
-    for dec in node.decorator_list:
-        if not _decorator_is_effects(dec):
-            continue
+    for dec in core.decorators(node, "effects")[:1]:
         pure = False
         mutates: List[str] = []
         ok = True
@@ -358,45 +285,11 @@ def _parse_effects_decorator(
 @dataclass
 class _ModuleInfo:
     relpath: str
-    tree: ast.Module
     pins: _ModulePins
+    kernel: bool = False   # in PROCESS_DIRS (or an explicit target): E3 applies
     mutable_globals: Dict[str, int] = field(default_factory=dict)  # name -> def line
-    module_names: Set[str] = field(default_factory=set)
     functions: List[Tuple[ast.AST, FunctionEffects]] = field(default_factory=list)
     accessed_families: Set[str] = field(default_factory=set)
-
-
-def _is_mutable_value(value: ast.expr) -> bool:
-    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.ListComp,
-                          ast.SetComp, ast.DictComp)):
-        return True
-    if isinstance(value, ast.Call):
-        name = _call_name(value)
-        return name in _MUTABLE_CONSTRUCTORS
-    return False
-
-
-def _collect_module_globals(info: _ModuleInfo) -> None:
-    for stmt in info.tree.body:
-        targets: List[ast.expr] = []
-        value = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        else:
-            continue
-        for t in targets:
-            if not isinstance(t, ast.Name):
-                continue
-            info.module_names.add(t.id)
-            if (
-                _is_mutable_value(value)
-                and t.id != "__all__"
-                and not (t.id.startswith("__") and t.id.endswith("__"))
-                and stmt.lineno not in info.pins.global_ok_lines
-            ):
-                info.mutable_globals[t.id] = stmt.lineno
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +311,7 @@ class _FnCollector:
         self.info = info
         self.findings = findings
         self.kernel = kernel
-        a = fn.args
-        params = tuple(
-            x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
-        ) + ((a.vararg.arg,) if a.vararg else ()) + ((a.kwarg.arg,) if a.kwarg else ())
+        params = core.function_params(fn)
         self.eff = FunctionEffects(
             name=fn.name, path=info.relpath, line=fn.lineno, params=params,
             is_method=bool(params) and params[0] in ("self", "cls"),
@@ -691,24 +581,24 @@ def _copies_value(value: ast.expr) -> bool:
 # Emission sites: E1 (declared vs inferred) and E4 (loop-varying keys)
 
 
+def _is_emission(node: ast.AST, pins: _ModulePins) -> bool:
+    """A direct task-emission call: ``SimTask(...)``,
+    ``<emitter>.add(...)`` or ``<emitter>(...)``."""
+    if not isinstance(node, ast.Call):
+        return False
+    fn = node.func
+    if isinstance(fn, ast.Name):
+        return fn.id == "SimTask" or fn.id in pins.emitters
+    if isinstance(fn, ast.Attribute):
+        return fn.attr == "SimTask" or (
+            fn.attr == "add" and isinstance(fn.value, ast.Name)
+            and fn.value.id in pins.emitters)
+    return False
+
+
 def _emission_calls(stmt: ast.stmt, pins: _ModulePins) -> List[ast.Call]:
-    """Direct task-emission calls in *stmt* (not inside nested defs):
-    ``SimTask(...)``, ``<emitter>.add(...)``, ``<emitter>(...)``."""
-    out = []
-    for node in _walk_own(stmt):
-        if not isinstance(node, ast.Call):
-            continue
-        fn = node.func
-        if isinstance(fn, ast.Name):
-            if fn.id == "SimTask" or fn.id in pins.emitters:
-                out.append(node)
-        elif isinstance(fn, ast.Attribute):
-            if fn.attr == "SimTask":
-                out.append(node)
-            elif fn.attr == "add" and isinstance(fn.value, ast.Name) \
-                    and fn.value.id in pins.emitters:
-                out.append(node)
-    return out
+    """Direct task-emission calls in *stmt* (not inside nested defs)."""
+    return [node for node in _walk_own(stmt) if _is_emission(node, pins)]
 
 
 def _calls_emitting_fn(stmt: ast.stmt, emitting_names: Set[str]) -> bool:
@@ -994,34 +884,17 @@ def _fmt(fams: Iterable[str]) -> str:
 # Interprocedural propagation
 
 
-class _Registry:
-    def __init__(self) -> None:
-        self.by_name: Dict[str, List[FunctionEffects]] = {}
-
-    def add(self, eff: FunctionEffects) -> None:
-        self.by_name.setdefault(eff.name, []).append(eff)
-
-    def resolve(self, name: str) -> Optional[FunctionEffects]:
-        group = self.by_name.get(name)
-        if not group:
-            return None
-        sig = group[0].signature()
-        for other in group[1:]:
-            if other.signature() != sig:
-                return None  # ambiguous: disagreeing summaries
-        return group[0]
-
-    def emitting_names(self) -> Set[str]:
-        return {
-            name for name, group in self.by_name.items()
-            if group and all(e.emits for e in group)
-        }
-
-
-def _propagate(registry: _Registry, functions: List[FunctionEffects]) -> None:
-    for _ in range(30):
+def _propagate(registry: core.Registry, functions: List[FunctionEffects]) -> None:
+    def step() -> bool:
         changed = False
         for f in functions:
+            def mutate(roots: Iterable[str], line: int) -> None:
+                nonlocal changed
+                for p in roots:
+                    if p not in f.mutates:
+                        f.mutates[p] = line
+                        changed = True
+
             for call in f.calls:
                 callee = registry.resolve(call.name)
                 if callee is None or callee is f:
@@ -1030,24 +903,15 @@ def _propagate(registry: _Registry, functions: List[FunctionEffects]) -> None:
                 pos_params = list(callee.params)
                 if callee.is_method and call.recv_roots is not None:
                     if "self" in mutated or "cls" in mutated:
-                        for p in call.recv_roots:
-                            if p not in f.mutates:
-                                f.mutates[p] = call.line
-                                changed = True
+                        mutate(call.recv_roots, call.line)
                     pos_params = pos_params[1:]
                 for i, roots in enumerate(call.arg_roots):
                     if i < len(pos_params) and pos_params[i] in mutated:
-                        for p in roots:
-                            if p not in f.mutates:
-                                f.mutates[p] = call.line
-                                changed = True
+                        mutate(roots, call.line)
                 for kw_name, roots in call.kw_roots.items():
                     if kw_name in mutated:
-                        for p in roots:
-                            if p not in f.mutates:
-                                f.mutates[p] = call.line
-                                changed = True
-                for g, line in callee.global_writes.items():
+                        mutate(roots, call.line)
+                for g in callee.global_writes:
                     if g not in f.global_writes:
                         f.global_writes[g] = call.line
                         changed = True
@@ -1058,8 +922,9 @@ def _propagate(registry: _Registry, functions: List[FunctionEffects]) -> None:
                 if callee.emits and not f.emits:
                     f.emits = True
                     changed = True
-        if not changed:
-            return
+        return changed
+
+    core.fixed_point(step, 30)
 
 
 # ---------------------------------------------------------------------------
@@ -1069,7 +934,6 @@ def _propagate(registry: _Registry, functions: List[FunctionEffects]) -> None:
 def _check_declarations(
     functions: List[Tuple[_ModuleInfo, ast.AST, FunctionEffects]],
     findings: List[EffectFinding],
-    kernel_paths: Set[str],
 ) -> None:
     for info, _node, eff in functions:
         if eff.declared is not None:
@@ -1082,7 +946,7 @@ def _check_declarations(
                         info.relpath, eff.line, "E2",
                         "%s() is declared %s but mutates parameter %r "
                         "(line %d)" % (eff.name, label, p, line)))
-        if info.relpath in kernel_paths:
+        if info.kernel:
             # Only writes performed by this function's own statements
             # (the snapshot) — transitive writes would re-report the
             # same defect at every caller.
@@ -1096,82 +960,37 @@ def _check_declarations(
 
 
 # ---------------------------------------------------------------------------
-# drivers
+# the pass and its entry points
 
 
-def _package_root() -> str:
-    return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _iter_sources(root: str) -> Iterable[Tuple[str, str]]:
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-        for fname in sorted(filenames):
-            if fname.endswith(".py"):
-                full = os.path.join(dirpath, fname)
-                rel = os.path.relpath(full, root)
-                yield full, rel.replace(os.sep, "/")
-
-
-def _parse_modules(
-    sources: Sequence[Tuple[str, str]],
-    findings: List[EffectFinding],
-    kernel_override: Optional[Set[str]] = None,
-) -> List[_ModuleInfo]:
-    infos: List[_ModuleInfo] = []
-    for source, relpath in sources:
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            findings.append(EffectFinding(
-                relpath, exc.lineno or 0, "E0", "syntax error: %s" % exc.msg))
-            continue
-        pins = _scan_pins(source, relpath, findings)
-        info = _ModuleInfo(relpath=relpath, tree=tree, pins=pins)
-        _collect_module_globals(info)
-        kernel = _is_effect_kernel(relpath) or (
-            kernel_override is not None and relpath in kernel_override)
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                collector = _FnCollector(node, info, findings, kernel)
-                eff = collector.run()
-                info.functions.append((node, eff))
-        # module-wide accessed key families (for E1b)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Subscript):
-                base = _base_name(node.value)
-                if base is not None and base in pins.blocks:
-                    info.accessed_families |= pins.blocks[base]
+def _module_info(module: core.Module, findings: List[EffectFinding]) -> _ModuleInfo:
+    pins = _scan_pins(module, findings)
+    info = _ModuleInfo(relpath=module.relpath, pins=pins)
+    for where, name, line in core.mutable_state(module):
+        if where == "module":
+            info.mutable_globals[name] = line
+    info.kernel = module.in_scope(PROCESS_DIRS)
+    for fn in module.functions:
+        eff = _FnCollector(fn.node, info, findings, info.kernel).run()
         # direct emission marks (before propagation)
-        for node, eff in info.functions:
-            for stmt in ast.walk(node):
-                if isinstance(stmt, ast.Call) and _emission_calls_direct(stmt, pins):
-                    eff.emits = True
-                    break
-        infos.append(info)
-    return infos
-
-
-def _emission_calls_direct(node: ast.Call, pins: _ModulePins) -> bool:
-    fn = node.func
-    if isinstance(fn, ast.Name):
-        return fn.id == "SimTask" or fn.id in pins.emitters
-    if isinstance(fn, ast.Attribute):
-        return fn.attr == "SimTask" or (
-            fn.attr == "add" and isinstance(fn.value, ast.Name)
-            and fn.value.id in pins.emitters)
-    return False
+        eff.emits = any(_is_emission(n, pins) for n in ast.walk(fn.node))
+        info.functions.append((fn.node, eff))
+    # module-wide accessed key families (for E1b)
+    for node in ast.walk(module.tree) if pins.blocks else ():
+        if isinstance(node, ast.Subscript):
+            base = _base_name(node.value)
+            if base is not None and base in pins.blocks:
+                info.accessed_families |= pins.blocks[base]
+    return info
 
 
 def _analyze(
-    sources: Sequence[Tuple[str, str]],
-    report_for: Optional[Set[str]] = None,
-    kernel_override: Optional[Set[str]] = None,
+    index: core.ModuleIndex,
 ) -> Tuple[List[EffectFinding], List[FunctionEffects]]:
     findings: List[EffectFinding] = []
-    infos = _parse_modules(sources, findings, kernel_override)
+    infos = [_module_info(m, findings) for m in index.parsed]
 
-    registry = _Registry()
+    registry = core.Registry(key=FunctionEffects.signature)
     flat: List[Tuple[_ModuleInfo, ast.AST, FunctionEffects]] = []
     for info in infos:
         for node, eff in info.functions:
@@ -1179,23 +998,17 @@ def _analyze(
             flat.append((info, node, eff))
     _propagate(registry, [eff for _i, _n, eff in flat])
 
-    kernel_paths = {
-        info.relpath for info in infos
-        if _is_effect_kernel(info.relpath) or (
-            kernel_override is not None and info.relpath in kernel_override)
-    }
-    _check_declarations(flat, findings, kernel_paths)
+    _check_declarations(flat, findings)
 
-    emitting = registry.emitting_names()
+    emitting = {name for name, group in registry.by_name.items()
+                if all(e.emits for e in group)}
     for info in infos:
         for node, _eff in info.functions:
             _EmissionChecker(node, info, emitting, findings).run()
+    return findings, [eff for _i, _n, eff in flat]
 
-    if report_for is not None:
-        findings = [f for f in findings if f.path in report_for]
-    unique = sorted(set(findings), key=lambda f: (f.path, f.line, f.code, f.message))
-    summaries = [eff for _i, _n, eff in flat]
-    return unique, summaries
+
+EFFECTS = core.Checker("E0", lambda index: _analyze(index)[0])
 
 
 def check_effects_source(
@@ -1206,10 +1019,7 @@ def check_effects_source(
     """Check a single source string (plus optional companions).  The
     primary source is treated as a kernel module so every finding class
     is live — the unit-test entry point."""
-    pairs = [(source, relpath)] + list(extra_sources or ())
-    findings, _ = _analyze(
-        pairs, report_for={relpath}, kernel_override={relpath})
-    return findings
+    return core.check_source(EFFECTS, source, relpath, extra_sources)
 
 
 def check_effects_paths(
@@ -1220,29 +1030,12 @@ def check_effects_paths(
     files are treated as kernel modules (this is the fixture entry
     point — a seeded violation must fire regardless of where the
     fixture happens to live on disk)."""
-    root = package_root or _package_root()
-    sources: List[Tuple[str, str]] = []
-    for full, rel in _iter_sources(root):
-        with open(full, "r", encoding="utf-8") as fh:
-            sources.append((fh.read(), rel))
-    targets: Set[str] = set()
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            sources.append((fh.read(), path))
-        targets.add(path)
-    findings, _ = _analyze(sources, report_for=targets, kernel_override=targets)
-    return findings
+    return core.check_paths(EFFECTS, paths, package_root)
 
 
 def check_effects_tree(root: Optional[str] = None) -> List[EffectFinding]:
     """Check every module of the package — the CI gate."""
-    root = root or _package_root()
-    sources = []
-    for full, rel in _iter_sources(root):
-        with open(full, "r", encoding="utf-8") as fh:
-            sources.append((fh.read(), rel))
-    findings, _ = _analyze(sources)
-    return findings
+    return core.check_tree(EFFECTS, root)
 
 
 def collect_effect_summaries(root: Optional[str] = None) -> List[FunctionEffects]:
@@ -1251,13 +1044,7 @@ def collect_effect_summaries(root: Optional[str] = None) -> List[FunctionEffects
     The differential soundness tests look functions up by
     ``(path, name)`` and assert dynamically observed mutations are a
     subset of ``summary.mutates``."""
-    root = root or _package_root()
-    sources = []
-    for full, rel in _iter_sources(root):
-        with open(full, "r", encoding="utf-8") as fh:
-            sources.append((fh.read(), rel))
-    _findings, summaries = _analyze(sources)
-    return summaries
+    return _analyze(core.tree_index(root))[1]
 
 
 def summary_for(
@@ -1270,102 +1057,3 @@ def summary_for(
         raise KeyError("expected exactly one summary for %s::%s, found %d"
                        % (path_suffix, name, len(hits)))
     return hits[0]
-
-
-__all__.append("summary_for")
-
-
-# ---------------------------------------------------------------------------
-# Plan-level E4: disjointness audits on compiled schedules
-
-
-def audit_triangular_schedule(sched, label: str = "<TriangularSchedule>"):
-    """Symbolically verify per-level disjointness of a compiled
-    :class:`repro.sparse.schedule.TriangularSchedule`.
-
-    Every column is finalized in exactly one level, the post-grouping
-    scatter targets of a vectorized level (``seg_tgt``) are pairwise
-    distinct, and every scatter lands in a strictly later level — the
-    write-disjointness precondition for executing a level's columns as
-    parallel same-level tasks.  Scalar (narrow) levels replay
-    sequentially, so only their level-ordering is checked.  Returns a
-    list of E4 :class:`EffectFinding`.
-    """
-    import numpy as np
-
-    findings: List[EffectFinding] = []
-    level_of = np.full(sched.n, -1, dtype=np.int64)
-    for lv_idx, lv in enumerate(sched.levels):
-        for j in np.asarray(lv.cols, dtype=np.int64):
-            j = int(j)
-            if level_of[j] >= 0:
-                findings.append(EffectFinding(
-                    label, lv_idx, "E4",
-                    "column %d finalized in levels %d and %d — parallel "
-                    "column tasks would write the same x entry"
-                    % (j, int(level_of[j]), lv_idx)))
-            level_of[j] = lv_idx
-    uncovered = np.flatnonzero(level_of < 0)
-    if uncovered.size:
-        findings.append(EffectFinding(
-            label, 0, "E4",
-            "column %d is never finalized by any level" % int(uncovered[0])))
-
-    def check_targets(lv_idx, tgt, require_unique):
-        tgt = np.asarray(tgt, dtype=np.int64)
-        if not tgt.size:
-            return
-        if require_unique and np.unique(tgt).size != tgt.size:
-            findings.append(EffectFinding(
-                label, lv_idx, "E4",
-                "level %d has duplicate post-grouping scatter targets — "
-                "the reduceat segments are not disjoint" % lv_idx))
-        bad = tgt[level_of[tgt] <= lv_idx]
-        if bad.size:
-            findings.append(EffectFinding(
-                label, lv_idx, "E4",
-                "level %d scatters into row %d of level %d — an update "
-                "targets a row finalized no later than its producer"
-                % (lv_idx, int(bad[0]), int(level_of[int(bad[0])]))))
-
-    for lv_idx, lv in enumerate(sched.levels):
-        if lv.scalar_cols is not None:
-            for (_j, _dj, _lo, _hi, rows) in lv.scalar_cols:
-                check_targets(lv_idx, rows, require_unique=False)
-        else:
-            check_targets(lv_idx, lv.seg_tgt, require_unique=True)
-    return findings
-
-
-def audit_refactor_schedule(sched, label: str = "<RefactorSchedule>"):
-    """Per-stage disjointness audit of a compiled
-    :class:`repro.sparse.schedule.RefactorSchedule`: every column is
-    finalized in exactly one stage and within a stage the grouped
-    workspace scatter targets and L-destination slots are pairwise
-    distinct.  Returns a list of E4 :class:`EffectFinding`."""
-    import numpy as np
-
-    findings: List[EffectFinding] = []
-    seen_cols: Set[int] = set()
-    for st_idx, st in enumerate(sched.stages):
-        cols = [int(c) for c in st.cols]
-        for j in cols:
-            if j in seen_cols:
-                findings.append(EffectFinding(
-                    label, st_idx, "E4",
-                    "column %d finalized in more than one stage" % j))
-            seen_cols.add(j)
-        if np.unique(st.cols).size != st.cols.size:
-            findings.append(EffectFinding(
-                label, st_idx, "E4",
-                "stage %d finalizes a column twice" % st_idx))
-        if st.seg_tgt.size and np.unique(st.seg_tgt).size != st.seg_tgt.size:
-            findings.append(EffectFinding(
-                label, st_idx, "E4",
-                "stage %d has duplicate post-grouping scatter targets "
-                "in the update workspace" % st_idx))
-        if st.l_dst.size and np.unique(st.l_dst).size != st.l_dst.size:
-            findings.append(EffectFinding(
-                label, st_idx, "E4",
-                "stage %d writes an Lx slot twice" % st_idx))
-    return findings

@@ -2,7 +2,7 @@
 
 The reproduction's central contract is that *all* cost flows through
 :class:`~repro.parallel.ledger.CostLedger` — never wall clocks — and
-that counted work is never silently dropped.  Four rules:
+that counted work is never silently dropped.  Six rules:
 
 * **R1** — no wall-clock calls (``time.time``, ``time.perf_counter``,
   ``time.monotonic``, ``time.process_time``, ``time.thread_time``)
@@ -32,7 +32,8 @@ that counted work is never silently dropped.  Four rules:
   forks or pickles kernels, so a module cache silently diverges across
   processes.  A definition that is genuinely intended (a registry
   populated at import time, say) carries a trailing
-  ``# effects: global-ok`` pin — the same pin the effect checker honors.
+  ``# effects: global-ok`` pin.  R6 and the effect checker's E3 share
+  one detector, :func:`repro.analysis.core.mutable_state`.
 
 Findings are reported as ``path:line CODE message``; the CLI exits
 nonzero when any are found, which is what CI gates on.
@@ -41,25 +42,14 @@ nonzero when any are found, which is what CI gates on.
 from __future__ import annotations
 
 import ast
-import io
 import os
-import re
-import tokenize
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
-__all__ = [
-    "LintFinding", "lint_source", "lint_paths", "lint_tree",
-    "KERNEL_DIRS", "DETERMINISTIC_DIRS", "R6_DIRS",
-]
+from . import core
+from .core import DETERMINISTIC_DIRS, KERNEL_DIRS, PROCESS_DIRS
 
-KERNEL_DIRS = ("core", "solvers", "sparse")
-# R5 (determinism) additionally covers the ordering/graph kernels whose
-# output must be reproducible run to run.
-DETERMINISTIC_DIRS = KERNEL_DIRS + ("ordering", "graph")
-# R6 (no mutable module state) additionally covers parallel/ — the
-# scheduler machinery ships to worker processes with the kernels.
-R6_DIRS = DETERMINISTIC_DIRS + ("parallel",)
+__all__ = ["LintFinding", "lint_source", "lint_paths", "lint_tree"]
 _WALL_CLOCKS = {"time", "perf_counter", "monotonic", "process_time", "thread_time", "clock"}
 _COUNTERS = {"sparse_flops", "dense_flops", "dfs_steps", "mem_words", "columns"}
 _MUTABLE_CALLS = {"list", "dict", "set"}
@@ -86,23 +76,8 @@ class LintFinding:
         return f"{self.path}:{self.line} {self.rule} {self.message}"
 
 
-def _is_kernel_module(relpath: str) -> bool:
-    parts = relpath.replace(os.sep, "/").split("/")
-    return any(p in parts[:-1] for p in KERNEL_DIRS)
-
-
-def _is_deterministic_module(relpath: str) -> bool:
-    parts = relpath.replace(os.sep, "/").split("/")
-    return any(p in parts[:-1] for p in DETERMINISTIC_DIRS)
-
-
-def _is_r6_module(relpath: str) -> bool:
-    parts = relpath.replace(os.sep, "/").split("/")
-    return any(p in parts[:-1] for p in R6_DIRS)
-
-
-def _check_wall_clocks(tree: ast.AST, path: str, out: List[LintFinding]) -> None:
-    for node in ast.walk(tree):
+def _check_wall_clocks(nodes: List[ast.AST], path: str, out: List[LintFinding]) -> None:
+    for node in nodes:
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id == "time" and node.attr in _WALL_CLOCKS:
                 out.append(LintFinding(
@@ -120,33 +95,17 @@ def _check_wall_clocks(tree: ast.AST, path: str, out: List[LintFinding]) -> None
                     ))
 
 
-def _function_params(fn: ast.AST) -> List[str]:
-    a = fn.args
-    params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
-    if a.vararg:
-        params.append(a.vararg.arg)
-    if a.kwarg:
-        params.append(a.kwarg.arg)
-    return params
+def _own_body_nodes(fn: ast.AST):
+    """A function body, without nested function bodies (those are
+    linted on their own)."""
+    for stmt in fn.body:
+        yield from core.walk_own(stmt)
 
 
-def _own_body_nodes(fn: ast.AST) -> Iterable[ast.AST]:
-    """Walk a function body without descending into nested functions
-    (those are linted on their own)."""
-    stack = list(fn.body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _check_ledger_flow(tree: ast.AST, path: str, out: List[LintFinding]) -> None:
-    for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        params = set(_function_params(fn))
+def _check_ledger_flow(module: core.Module, out: List[LintFinding]) -> None:
+    path = module.relpath
+    for fn in (f.node for f in module.functions):
+        params = set(core.function_params(fn))
         # Names whose counters this function increments, with first line.
         incremented: dict = {}
         counter_attr_ids = set()  # id() of Name nodes that are counter receivers
@@ -162,7 +121,7 @@ def _check_ledger_flow(tree: ast.AST, path: str, out: List[LintFinding]) -> None
                 and isinstance(target.value, ast.Name)
             ):
                 name = target.value.id
-                incremented.setdefault(name, node.lineno)
+                incremented[name] = min(node.lineno, incremented.get(name, node.lineno))
                 counter_attr_ids.add(id(target.value))
         if not incremented:
             continue
@@ -191,8 +150,8 @@ def _check_ledger_flow(tree: ast.AST, path: str, out: List[LintFinding]) -> None
                 ))
 
 
-def _check_bare_except(tree: ast.AST, path: str, out: List[LintFinding]) -> None:
-    for node in ast.walk(tree):
+def _check_bare_except(nodes: List[ast.AST], path: str, out: List[LintFinding]) -> None:
+    for node in nodes:
         if isinstance(node, ast.ExceptHandler) and node.type is None:
             out.append(LintFinding(
                 path, node.lineno, "R3",
@@ -200,8 +159,8 @@ def _check_bare_except(tree: ast.AST, path: str, out: List[LintFinding]) -> None
             ))
 
 
-def _check_mutable_defaults(tree: ast.AST, path: str, out: List[LintFinding]) -> None:
-    for fn in ast.walk(tree):
+def _check_mutable_defaults(nodes: List[ast.AST], path: str, out: List[LintFinding]) -> None:
+    for fn in nodes:
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         name = getattr(fn, "name", "<lambda>")
@@ -230,8 +189,8 @@ def _mentions_time(node: ast.AST) -> bool:
     return False
 
 
-def _check_nondeterminism(tree: ast.AST, path: str, out: List[LintFinding]) -> None:
-    for node in ast.walk(tree):
+def _check_nondeterminism(nodes: List[ast.AST], path: str, out: List[LintFinding]) -> None:
+    for node in nodes:
         if isinstance(node, ast.Attribute) and node.attr in _RNG_NAMES:
             v = node.value
             if (
@@ -270,12 +229,7 @@ def _check_nondeterminism(tree: ast.AST, path: str, out: List[LintFinding]) -> N
                         "a numpy.random.Generator parameter instead",
                     ))
         elif isinstance(node, ast.Call):
-            fn = node.func
-            name = None
-            if isinstance(fn, ast.Attribute):
-                name = fn.attr
-            elif isinstance(fn, ast.Name):
-                name = fn.id
+            name = core.call_name(node)
             if name in _RNG_FACTORIES and any(
                 _mentions_time(a) for a in list(node.args) + [k.value for k in node.keywords]
             ):
@@ -286,114 +240,44 @@ def _check_nondeterminism(tree: ast.AST, path: str, out: List[LintFinding]) -> N
                 ))
 
 
-_GLOBAL_OK_RE = re.compile(r"#\s*effects:\s*global-ok\b")
-# Constructors whose bare module-level call creates shared mutable state.
-_R6_CONSTRUCTORS = {
-    "dict", "list", "set", "defaultdict", "OrderedDict", "deque",
-    "Counter", "bytearray",
-}
-
-
-def _global_ok_lines(source: str) -> Set[int]:
-    """Lines carrying a ``# effects: global-ok`` pin (real comments)."""
-    lines: Set[int] = set()
-    try:
-        toks = tokenize.generate_tokens(io.StringIO(source).readline)
-        for tok in toks:
-            if tok.type == tokenize.COMMENT and _GLOBAL_OK_RE.search(tok.string):
-                lines.add(tok.start[0])
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        pass
-    return lines
-
-
-def _r6_is_mutable(value: ast.expr) -> bool:
-    if isinstance(value, (ast.Dict, ast.List, ast.Set,
-                          ast.ListComp, ast.SetComp, ast.DictComp)):
-        return True
-    return (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Name)
-        and value.func.id in _R6_CONSTRUCTORS
-    )
-
-
-def _check_module_state(
-    tree: ast.AST, source: str, path: str, out: List[LintFinding]
-) -> None:
-    ok_lines = _global_ok_lines(source)
-    scopes = [("module", tree.body)]
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            scopes.append((f"class '{node.name}'", node.body))
-    for where, body in scopes:
-        for stmt in body:
-            targets: List[ast.expr] = []
-            value = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            else:
-                continue
-            if not _r6_is_mutable(value) or stmt.lineno in ok_lines:
-                continue
-            for t in targets:
-                if not isinstance(t, ast.Name):
-                    continue
-                if t.id == "__all__" or (
-                    t.id.startswith("__") and t.id.endswith("__")
-                ):
-                    continue
+def _lint(index: core.ModuleIndex) -> List[LintFinding]:
+    out: List[LintFinding] = []
+    for module in index.parsed:
+        nodes, path = list(ast.walk(module.tree)), module.relpath
+        if module.in_scope(KERNEL_DIRS):
+            _check_wall_clocks(nodes, path, out)
+            _check_ledger_flow(module, out)
+        if module.in_scope(DETERMINISTIC_DIRS):
+            _check_nondeterminism(nodes, path, out)
+        if module.in_scope(PROCESS_DIRS):
+            for where, name, line in core.mutable_state(module):
                 out.append(LintFinding(
-                    path, stmt.lineno, "R6",
-                    f"mutable {where}-level state '{t.id}' in a kernel "
+                    path, line, "R6",
+                    f"mutable {where}-level state '{name}' in a kernel "
                     "package — process-unsafe shared state; pass it "
                     "explicitly or pin the line '# effects: global-ok'",
                 ))
+        _check_bare_except(nodes, path, out)
+        _check_mutable_defaults(nodes, path, out)
+    return out
+
+
+LINT = core.Checker("R0", _lint, LintFinding)
 
 
 def lint_source(source: str, relpath: str = "<string>") -> List[LintFinding]:
     """Lint one module's source.  ``relpath`` (relative to the package
-    root, e.g. ``core/numeric.py``) decides whether the kernel-only
-    rules R1/R2 apply."""
-    out: List[LintFinding] = []
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        out.append(LintFinding(relpath, exc.lineno or 0, "R0", f"syntax error: {exc.msg}"))
-        return out
-    if _is_kernel_module(relpath):
-        _check_wall_clocks(tree, relpath, out)
-        _check_ledger_flow(tree, relpath, out)
-    if _is_deterministic_module(relpath):
-        _check_nondeterminism(tree, relpath, out)
-    if _is_r6_module(relpath):
-        _check_module_state(tree, source, relpath, out)
-    _check_bare_except(tree, relpath, out)
-    _check_mutable_defaults(tree, relpath, out)
-    out.sort(key=lambda f: (f.path, f.line, f.rule))
-    return out
+    root, e.g. ``core/numeric.py``) decides which scoped rules apply."""
+    return core.check_source(LINT, source, relpath, as_kernel=False)
 
 
 def lint_paths(paths: Sequence[str], root: str) -> List[LintFinding]:
-    out: List[LintFinding] = []
-    for p in paths:
-        rel = os.path.relpath(p, root)
-        with open(p, "r", encoding="utf-8") as fh:
-            out.extend(lint_source(fh.read(), rel))
-    out.sort(key=lambda f: (f.path, f.line, f.rule))
-    return out
+    """Lint explicit files, each scoped by its path relative to *root*."""
+    sources = [(core.read_source(p), os.path.relpath(p, root)) for p in paths]
+    return core.run(LINT, core.build_index(sources))
 
 
 def lint_tree(root: Optional[str] = None) -> List[LintFinding]:
     """Lint every ``.py`` file under ``root`` (default: the installed
-    ``repro`` package directory)."""
-    if root is None:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    paths = []
-    for dirpath, _dirnames, filenames in os.walk(root):
-        for fn in sorted(filenames):
-            if fn.endswith(".py"):
-                paths.append(os.path.join(dirpath, fn))
-    return lint_paths(sorted(paths), root)
+    ``repro`` package)."""
+    return core.check_tree(LINT, root)

@@ -12,8 +12,8 @@ shape* in a lattice of named dimensions (``n``, ``nnz(A)``,
 propagated through the numpy idioms the kernels use (``np.asarray``,
 slicing, fancy indexing, ``searchsorted``, ``bincount(minlength=)``,
 ``reduceat``, broadcasting, concatenation) and interprocedurally via
-:func:`repro.contracts.shapes` declarations, reusing the registry /
-call-graph propagation machinery introduced for the effect analyzer.
+:func:`repro.contracts.shapes` declarations, as a pass over the shared
+:mod:`repro.analysis.core` index (its registry and fixed-point helper).
 
 The symbolic dimension lattice
 ------------------------------
@@ -65,19 +65,18 @@ from __future__ import annotations
 
 import ast
 import inspect
-import io
-import os
 import re
-import tokenize
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..errors import AnalysisError
+from . import core
+from .core import DETERMINISTIC_DIRS
+from .plans import audit_schedule_buffers
 
 __all__ = [
-    "SHAPE_KERNEL_DIRS",
     "ShapeFinding",
     "ShapeContractError",
     "check_shapes_source",
@@ -89,22 +88,12 @@ __all__ = [
     "contract_checked",
 ]
 
-SHAPE_KERNEL_DIRS = ("core", "solvers", "sparse", "ordering", "graph")
-
 
 class ShapeContractError(AnalysisError):
     """A runtime value violated its declared shape contract."""
 
 
-@dataclass(frozen=True)
-class ShapeFinding:
-    path: str
-    line: int
-    code: str
-    message: str
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return "%s:%d %s %s" % (self.path, self.line, self.code, self.message)
+ShapeFinding = core.Finding
 
 
 # ======================================================================
@@ -526,21 +515,13 @@ class _Contract:
     is_classmethod: bool
 
 
-def _decorator_is(dec: ast.expr, name: str) -> bool:
-    if not isinstance(dec, ast.Call):
-        return False
-    fn = dec.func
-    return (isinstance(fn, ast.Name) and fn.id == name) or (
-        isinstance(fn, ast.Attribute) and fn.attr == name)
-
-
 def _parse_shapes_decorator(
     node: ast.FunctionDef,
     relpath: str,
     in_class: bool,
     findings: List[ShapeFinding],
 ) -> Optional[_Contract]:
-    dec = next((d for d in node.decorator_list if _decorator_is(d, "shapes")), None)
+    dec = next(iter(core.decorators(node, "shapes")), None)
     if dec is None:
         return None
     params = [a.arg for a in node.args.posonlyargs + node.args.args]
@@ -597,25 +578,6 @@ def _parse_shapes_decorator(
     )
 
 
-class _Registry:
-    """Name -> contract; ambiguous names resolve to nothing."""
-
-    def __init__(self) -> None:
-        self._by_name: Dict[str, List[_Contract]] = {}
-
-    def add(self, contract: _Contract) -> None:
-        self._by_name.setdefault(contract.name, []).append(contract)
-
-    def resolve(self, name: str) -> Optional[_Contract]:
-        lst = self._by_name.get(name)
-        if lst and len(lst) == 1:
-            return lst[0]
-        return None
-
-    def all(self) -> List[_Contract]:
-        return [c for lst in self._by_name.values() for c in lst]
-
-
 def _contract_dim_resolver(contract: _Contract) -> Dict[str, Dim]:
     """Bindings mapping dimension-function atoms of declared params to
     their declared dimensions (``len(x)`` -> x's declared axis-0 dim,
@@ -662,31 +624,15 @@ def _val_from_spec(spec: _Spec, pname: str,
 # Pins
 # ======================================================================
 
-_PIN_RE = re.compile(r"#\s*shapes:\s*(.+?)\s*$")
-
-
-def _scan_pins(source: str, relpath: str,
-               findings: List[ShapeFinding]) -> Set[int]:
-    """Line numbers carrying ``# shapes: ignore``."""
-    ignore: Set[int] = set()
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for tok in tokens:
-            if tok.type != tokenize.COMMENT:
-                continue
-            m = _PIN_RE.search(tok.string)
-            if not m:
-                continue
-            if m.group(1) == "ignore":
-                ignore.add(tok.start[0])
-            else:
-                findings.append(ShapeFinding(
-                    relpath, tok.start[0], "S5",
-                    "unknown '# shapes:' pin %r (only 'ignore' is "
-                    "supported)" % m.group(1)))
-    except tokenize.TokenError:
-        pass
-    return ignore
+def _scan_pins(module: core.Module, findings: List[ShapeFinding]) -> None:
+    """Report ``# shapes:`` pins other than ``ignore`` (which the
+    finalize step applies)."""
+    for line, payload in module.pins("shapes"):
+        if payload != "ignore":
+            findings.append(ShapeFinding(
+                module.relpath, line, "S5",
+                "unknown '# shapes:' pin %r (only 'ignore' is "
+                "supported)" % payload))
 
 
 # ======================================================================
@@ -705,7 +651,7 @@ class _ShapeInterp:
         relpath: str,
         fn: ast.FunctionDef,
         contract: Optional[_Contract],
-        registry: _Registry,
+        registry: core.Registry,
         findings: List[ShapeFinding],
         kernel: bool,
         summaries: Dict[str, _Val],
@@ -1748,7 +1694,7 @@ class _ShapeInterp:
     # ------------------------------------------------------------------
     # declared-vs-inferred return checking (S5)
 
-    def check_returns(self, ret_node_line: int) -> None:
+    def check_returns(self) -> None:
         contract = self.contract
         if contract is None or contract.returns is None:
             return
@@ -1758,24 +1704,23 @@ class _ShapeInterp:
         for inferred in self.returns:
             if inferred.kind == "any":
                 continue
-            line = ret_node_line
             if spec.kind == "array":
                 if inferred.kind == "csc":
-                    self._emit_line(line, "S5",
-                                    "%s(): returns a CSC matrix, contract "
-                                    "declares %r" % (contract.name, spec.text))
+                    self._emit(self.fn, "S5",
+                               "%s(): returns a CSC matrix, contract "
+                               "declares %r" % (contract.name, spec.text))
                     continue
                 if inferred.kind != "array":
                     if inferred.kind in ("scalar", "tuple"):
-                        self._emit_line(
-                            line, "S5",
+                        self._emit(
+                            self.fn, "S5",
                             "%s(): returns a %s, contract declares %r"
                             % (contract.name, inferred.kind, spec.text))
                     continue
                 if spec.dtype is not None and inferred.dtype is not None \
                         and ((spec.dtype == "f8") != (inferred.dtype == "f8")):
-                    self._emit_line(
-                        line, "S5",
+                    self._emit(
+                        self.fn, "S5",
                         "%s(): returns dtype %s, contract declares %s"
                         % (contract.name, inferred.dtype, spec.dtype))
                 if inferred.shape is not None and spec.dims is not None \
@@ -1783,36 +1728,33 @@ class _ShapeInterp:
                     want = [_d_subst(d, self._resolver) for d in spec.dims]
                     for axis, (w, got) in enumerate(zip(want, inferred.shape)):
                         if _d_eq(w, got) is False:
-                            self._emit_line(
-                                line, "S5",
+                            self._emit(
+                                self.fn, "S5",
                                 "%s(): returned axis-%d length is %s, "
                                 "contract declares %s"
                                 % (contract.name, axis, _d_str(got),
                                    _d_str(w)))
             elif spec.kind == "csc":
                 if inferred.kind == "array":
-                    self._emit_line(line, "S5",
-                                    "%s(): returns an array, contract "
-                                    "declares %r" % (contract.name, spec.text))
+                    self._emit(self.fn, "S5",
+                               "%s(): returns an array, contract "
+                               "declares %r" % (contract.name, spec.text))
                 elif inferred.kind == "csc":
                     want_r = _d_subst(spec.dims[0], self._resolver)
                     want_c = _d_subst(spec.dims[1], self._resolver)
                     if _d_eq(want_r, inferred.rows) is False \
                             or _d_eq(want_c, inferred.cols) is False:
-                        self._emit_line(
-                            line, "S5",
+                        self._emit(
+                            self.fn, "S5",
                             "%s(): returns a %s x %s CSC, contract declares "
                             "csc[%s,%s]" % (contract.name,
                                             _d_str(inferred.rows),
                                             _d_str(inferred.cols),
                                             _d_str(want_r), _d_str(want_c)))
 
-    def _emit_line(self, line: int, code: str, msg: str) -> None:
-        self.findings.append(ShapeFinding(self.relpath, line, code, msg))
-
 
 # ======================================================================
-# Drivers
+# The pass and its entry points
 # ======================================================================
 
 
@@ -1822,72 +1764,28 @@ class _FnInfo:
     node: ast.FunctionDef
     contract: Optional[_Contract]
     kernel: bool
-    ignore_lines: Set[int]
-
-
-def _package_root() -> str:
-    return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _iter_sources(root: str) -> Iterable[Tuple[str, str]]:
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-        for fname in sorted(filenames):
-            if fname.endswith(".py"):
-                full = os.path.join(dirpath, fname)
-                rel = os.path.relpath(full, root)
-                yield full, rel.replace(os.sep, "/")
-
-
-def _is_shape_kernel(relpath: str) -> bool:
-    parts = relpath.replace(os.sep, "/").split("/")
-    return any(p in parts[:-1] for p in SHAPE_KERNEL_DIRS)
 
 
 def _collect_functions(
-    sources: Sequence[Tuple[str, str]],
+    index: core.ModuleIndex,
     findings: List[ShapeFinding],
-    registry: _Registry,
-    kernel_override: Optional[Set[str]] = None,
+    registry: core.Registry,
 ) -> List[_FnInfo]:
     infos: List[_FnInfo] = []
-    for source, relpath in sources:
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            findings.append(ShapeFinding(
-                relpath, exc.lineno or 0, "S5",
-                "syntax error: %s" % exc.msg))
-            continue
-        ignore = _scan_pins(source, relpath, findings)
-        kernel = _is_shape_kernel(relpath) or (
-            kernel_override is not None and relpath in kernel_override)
-
-        def visit(body: Sequence[ast.stmt], in_class: bool) -> None:
-            for node in body:
-                if isinstance(node, ast.FunctionDef):
-                    contract = _parse_shapes_decorator(
-                        node, relpath, in_class, findings)
-                    if contract is not None:
-                        registry.add(contract)
-                    infos.append(_FnInfo(relpath, node, contract, kernel,
-                                         ignore))
-                    visit(node.body, in_class=False)
-                elif isinstance(node, ast.AsyncFunctionDef):
-                    visit(node.body, in_class=False)
-                elif isinstance(node, ast.ClassDef):
-                    visit(node.body, in_class=True)
-                elif isinstance(node, (ast.If, ast.Try, ast.With, ast.For,
-                                       ast.While)):
-                    for sub in ast.iter_child_nodes(node):
-                        if isinstance(sub, ast.stmt):
-                            visit([sub], in_class)
-
-        visit(tree.body, in_class=False)
+    for module in index.parsed:
+        _scan_pins(module, findings)
+        kernel = module.in_scope(DETERMINISTIC_DIRS)
+        # source order: the summary fixed point below is order-sensitive
+        for fn in sorted(module.functions,
+                         key=lambda f: (f.node.lineno, f.node.col_offset)):
+            if not isinstance(fn.node, ast.FunctionDef):
+                continue
+            contract = _parse_shapes_decorator(
+                fn.node, module.relpath, fn.in_class, findings)
+            if contract is not None:
+                registry.add(contract)
+            infos.append(_FnInfo(module.relpath, fn.node, contract, kernel))
     return infos
-
-
-_SUMMARY_FLAGS = ("kind", "dtype", "sorted", "unique", "nonneg")
 
 
 def _flags_only(v: _Val) -> _Val:
@@ -1899,14 +1797,10 @@ def _flags_only(v: _Val) -> _Val:
                 sorted=v.sorted, unique=v.unique)
 
 
-def _analyze(
-    sources: Sequence[Tuple[str, str]],
-    report_for: Optional[Set[str]] = None,
-    kernel_override: Optional[Set[str]] = None,
-) -> List[ShapeFinding]:
+def _analyze(index: core.ModuleIndex) -> List[ShapeFinding]:
     findings: List[ShapeFinding] = []
-    registry = _Registry()
-    infos = _collect_functions(sources, findings, registry, kernel_override)
+    registry = core.Registry()
+    infos = _collect_functions(index, findings, registry)
 
     # Pass 1: infer per-function return summaries (flags only) for
     # unannotated single-definition functions, propagated call-graph
@@ -1915,47 +1809,34 @@ def _analyze(
     names: Dict[str, int] = {}
     for info in infos:
         names[info.node.name] = names.get(info.node.name, 0) + 1
-    for _ in range(2):
+
+    def step() -> bool:
         changed = False
         for info in infos:
             if info.contract is not None or names[info.node.name] != 1:
                 continue
-            scratch: List[ShapeFinding] = []
             interp = _ShapeInterp(info.relpath, info.node, None, registry,
-                                  scratch, info.kernel, summaries)
+                                  [], info.kernel, summaries)
             ret = _flags_only(interp.run())
             if summaries.get(info.node.name) != ret:
                 summaries[info.node.name] = ret
                 changed = True
-        if not changed:
-            break
+        return changed
+
+    core.fixed_point(step, 2)
 
     # Pass 2: emit findings.
     for info in infos:
-        if report_for is not None and info.relpath not in report_for:
+        if not index.reported(info.relpath):
             continue
         interp = _ShapeInterp(info.relpath, info.node, info.contract, registry,
                               findings, info.kernel, summaries)
         interp.run()
-        interp.check_returns(info.node.lineno)
+        interp.check_returns()
+    return findings
 
-    ignore_by_path: Dict[str, Set[int]] = {}
-    for info in infos:
-        ignore_by_path.setdefault(info.relpath, set()).update(info.ignore_lines)
-    out = []
-    seen: Set[Tuple[str, int, str, str]] = set()
-    for f in findings:
-        if report_for is not None and f.path not in report_for:
-            continue
-        if f.line in ignore_by_path.get(f.path, ()):
-            continue
-        key = (f.path, f.line, f.code, f.message)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(f)
-    out.sort(key=lambda f: (f.path, f.line, f.code))
-    return out
+
+SHAPES = core.Checker("S5", _analyze, ignore_tag="shapes")
 
 
 def check_shapes_source(
@@ -1964,297 +1845,32 @@ def check_shapes_source(
     extra_sources: Optional[Sequence[Tuple[str, str]]] = None,
 ) -> List[ShapeFinding]:
     """Check one source string (treated as kernel code so S4 fires)."""
-    sources = [(source, relpath)] + list(extra_sources or [])
-    return _analyze(sources, report_for={relpath},
-                    kernel_override={relpath})
+    return core.check_source(SHAPES, source, relpath, extra_sources)
 
 
 def check_shapes_paths(paths: Sequence[str]) -> List[ShapeFinding]:
     """Check explicit files against the package's contracts.
 
     The package sources contribute contracts and summaries; findings
-    are reported only for the given files, which are treated as kernel
-    code (so fixtures exercise the int64-discipline rules)."""
-    root = _package_root()
-    sources: List[Tuple[str, str]] = []
-    for full, rel in _iter_sources(root):
-        with open(full, "r", encoding="utf-8") as fh:
-            sources.append((fh.read(), rel))
-    targets: Set[str] = set()
-    for p in paths:
-        rel = os.path.basename(p)
-        with open(p, "r", encoding="utf-8") as fh:
-            sources.append((fh.read(), rel))
-        targets.add(rel)
-    return _analyze(sources, report_for=targets, kernel_override=targets)
+    are reported only for the given files, under the path as given,
+    and the files are treated as kernel code (so fixtures exercise the
+    int64-discipline rules)."""
+    return core.check_paths(SHAPES, paths)
 
 
 def check_shapes_tree(root: Optional[str] = None) -> List[ShapeFinding]:
     """Check every module of the package tree."""
-    root = root or _package_root()
-    sources: List[Tuple[str, str]] = []
-    for full, rel in _iter_sources(root):
-        with open(full, "r", encoding="utf-8") as fh:
-            sources.append((fh.read(), rel))
-    return _analyze(sources)
+    return core.check_tree(SHAPES, root)
 
 
 def collect_shape_contracts(
     root: Optional[str] = None,
 ) -> Dict[str, List[Tuple[str, int]]]:
     """Map of contract name -> [(relpath, line)] across the tree."""
-    root = root or _package_root()
-    sources: List[Tuple[str, str]] = []
-    for full, rel in _iter_sources(root):
-        with open(full, "r", encoding="utf-8") as fh:
-            sources.append((fh.read(), rel))
-    findings: List[ShapeFinding] = []
-    registry = _Registry()
-    _collect_functions(sources, findings, registry)
-    out: Dict[str, List[Tuple[str, int]]] = {}
-    for c in registry.all():
-        out.setdefault(c.name, []).append((c.relpath, c.line))
-    return out
-
-
-# ======================================================================
-# Plan-level buffer audits (concrete, in the style of the E4 audits)
-# ======================================================================
-
-
-def _aud(findings: List[ShapeFinding], label: str, code: str,
-         msg: str) -> None:
-    findings.append(ShapeFinding("<plan:%s>" % label, 0, code, msg))
-
-
-def _chk_index(findings: List[ShapeFinding], label: str, where: str,
-               arr: np.ndarray, length: int, lo: int = 0) -> None:
-    if arr.size == 0:
-        return
-    mn, mx = int(arr.min()), int(arr.max())
-    if mn < lo or mx >= length:
-        _aud(findings, label, "S1",
-             "%s: index range [%d, %d] outside buffer extent [%d, %d)"
-             % (where, mn, mx, lo, length))
-
-
-def _chk_perm(findings: List[ShapeFinding], label: str, where: str,
-              arr: np.ndarray, n: int) -> None:
-    if arr.size != n or (n and np.bincount(
-            arr, minlength=n).max(initial=0) != 1) or (
-            n and (int(arr.min()) < 0 or int(arr.max()) >= n)):
-        _aud(findings, label, "S1",
-             "%s: not a permutation of range(%d)" % (where, n))
-
-
-def _chk_segments(findings: List[ShapeFinding], label: str, where: str,
-                  seg_starts: np.ndarray, seg_tgt: np.ndarray,
-                  ent_size: int, tgt_extent: int) -> None:
-    if seg_starts.size != seg_tgt.size:
-        _aud(findings, label, "S2",
-             "%s: %d segment starts but %d targets"
-             % (where, seg_starts.size, seg_tgt.size))
-    if seg_starts.size:
-        if int(seg_starts[0]) != 0:
-            _aud(findings, label, "S2",
-                 "%s: first segment start is %d, not 0"
-                 % (where, int(seg_starts[0])))
-        if np.any(np.diff(seg_starts) <= 0):
-            _aud(findings, label, "S2",
-                 "%s: segment starts not strictly increasing" % where)
-        _chk_index(findings, label, where + " seg_starts", seg_starts,
-                   max(ent_size, 1))
-        if seg_tgt.size and np.unique(seg_tgt).size != seg_tgt.size:
-            _aud(findings, label, "S2",
-                 "%s: duplicate scatter targets within one level" % where)
-        _chk_index(findings, label, where + " seg_tgt", seg_tgt, tgt_extent)
-
-
-def _audit_triangular(sched, label: str) -> List[ShapeFinding]:
-    findings: List[ShapeFinding] = []
-    n, nnz = int(sched.n), int(sched.nnz)
-    if sched.diag_idx.shape != (n,):
-        _aud(findings, label, "S3",
-             "diag_idx has shape %r, expected (%d,)"
-             % (sched.diag_idx.shape, n))
-    _chk_index(findings, label, "diag_idx", sched.diag_idx, nnz, lo=-1)
-    for s, lv in enumerate(sched.levels):
-        where = "level %d" % s
-        _chk_index(findings, label, where + " cols", lv.cols, n)
-        if lv.cols.size and np.unique(lv.cols).size != lv.cols.size:
-            _aud(findings, label, "S2",
-                 "%s: duplicate columns within a level" % where)
-        if lv.scalar_cols is not None:
-            for j, dj, lo, hi, rows in lv.scalar_cols:
-                if not (0 <= j < n):
-                    _aud(findings, label, "S1",
-                         "%s: scalar column %d outside [0, %d)"
-                         % (where, j, n))
-                if dj < -1 or dj >= nnz:
-                    _aud(findings, label, "S1",
-                         "%s: scalar diag index %d outside [-1, %d)"
-                         % (where, dj, nnz))
-                if not (0 <= lo <= hi <= nnz):
-                    _aud(findings, label, "S1",
-                         "%s: scalar data slice [%d, %d) outside [0, %d]"
-                         % (where, lo, hi, nnz))
-                _chk_index(findings, label, where + " scalar rows",
-                           np.asarray(rows), n)
-            continue
-        _chk_index(findings, label, where + " diag_idx", lv.diag_idx, nnz,
-                   lo=-1)
-        if lv.counts.size != lv.cols.size:
-            _aud(findings, label, "S3",
-                 "%s: %d counts for %d columns"
-                 % (where, lv.counts.size, lv.cols.size))
-        if lv.counts.size and int(lv.counts.min()) < 0:
-            _aud(findings, label, "S2", "%s: negative entry count" % where)
-        if int(lv.counts.sum()) != lv.ent_val_idx.size:
-            _aud(findings, label, "S3",
-                 "%s: counts sum to %d but %d entries staged"
-                 % (where, int(lv.counts.sum()), lv.ent_val_idx.size))
-        _chk_index(findings, label, where + " ent_val_idx", lv.ent_val_idx,
-                   nnz)
-        _chk_perm(findings, label, where + " ent_order", lv.ent_order,
-                  lv.ent_val_idx.size)
-        _chk_segments(findings, label, where, lv.seg_starts, lv.seg_tgt,
-                      lv.ent_val_idx.size, n)
-    return findings
-
-
-def _audit_refactor(sched, label: str) -> List[ShapeFinding]:
-    findings: List[ShapeFinding] = []
-    n, wtotal = int(sched.n), int(sched.wtotal)
-    l_nnz = sched.l_indices.size
-    u_nnz = sched.u_indices.size
-    _chk_perm(findings, label, "row_perm", sched.row_perm, n)
-    for name, ptr, sz in (("l_indptr", sched.l_indptr, l_nnz),
-                          ("u_indptr", sched.u_indptr, u_nnz),
-                          ("a_indptr", sched.a_indptr,
-                           sched.a_indices.size)):
-        if ptr.shape != (n + 1,) or int(ptr[0]) != 0 \
-                or int(ptr[-1]) != sz or np.any(np.diff(ptr) < 0):
-            _aud(findings, label, "S3",
-                 "%s is not a monotone pointer array of length %d ending "
-                 "at %d" % (name, n + 1, sz))
-    if sched.a_scatter.size != sched.a_indices.size:
-        _aud(findings, label, "S3",
-             "a_scatter has %d entries for %d input values"
-             % (sched.a_scatter.size, sched.a_indices.size))
-    _chk_index(findings, label, "a_scatter", sched.a_scatter, wtotal)
-    if sched.a_scatter.size and np.unique(
-            sched.a_scatter).size != sched.a_scatter.size:
-        _aud(findings, label, "S2",
-             "a_scatter provably contains duplicate workspace positions")
-    if sched.ux_src.size != u_nnz:
-        _aud(findings, label, "S3",
-             "ux_src has %d entries for %d U values"
-             % (sched.ux_src.size, u_nnz))
-    _chk_index(findings, label, "ux_src", sched.ux_src, wtotal)
-    if sched.l_diag_dst.size != n:
-        _aud(findings, label, "S3",
-             "l_diag_dst has %d entries for %d unit diagonals"
-             % (sched.l_diag_dst.size, n))
-    _chk_index(findings, label, "l_diag_dst", sched.l_diag_dst, l_nnz)
-    seen_cols = np.zeros(n, dtype=np.int64)
-    for s, stage in enumerate(sched.stages):
-        where = "stage %d" % s
-        _chk_index(findings, label, where + " cols", stage.cols, n)
-        if stage.cols.size:
-            seen_cols[stage.cols] += 1
-        if stage.piv_wpos.size != stage.cols.size:
-            _aud(findings, label, "S3",
-                 "%s: %d pivot positions for %d columns"
-                 % (where, stage.piv_wpos.size, stage.cols.size))
-        _chk_index(findings, label, where + " piv_wpos", stage.piv_wpos,
-                   wtotal)
-        if stage.l_counts.size and int(stage.l_counts.min()) < 0:
-            _aud(findings, label, "S2", "%s: negative l_counts" % where)
-        if int(stage.l_counts.sum()) != stage.l_dst.size:
-            _aud(findings, label, "S3",
-                 "%s: l_counts sum to %d but %d L slots staged"
-                 % (where, int(stage.l_counts.sum()), stage.l_dst.size))
-        _chk_index(findings, label, where + " l_dst", stage.l_dst, l_nnz)
-        if stage.l_dst.size and np.unique(
-                stage.l_dst).size != stage.l_dst.size:
-            _aud(findings, label, "S2",
-                 "%s: duplicate L destinations within a stage" % where)
-        if stage.l_src.size != stage.l_dst.size:
-            _aud(findings, label, "S3",
-                 "%s: %d L sources for %d destinations"
-                 % (where, stage.l_src.size, stage.l_dst.size))
-        _chk_index(findings, label, where + " l_src", stage.l_src, wtotal)
-        _chk_index(findings, label, where + " op_src_wpos",
-                   stage.op_src_wpos, wtotal)
-        if stage.op_len.size != stage.op_src_wpos.size:
-            _aud(findings, label, "S3",
-                 "%s: %d op lengths for %d ops"
-                 % (where, stage.op_len.size, stage.op_src_wpos.size))
-        if stage.op_len.size and int(stage.op_len.min()) < 0:
-            _aud(findings, label, "S2", "%s: negative op_len" % where)
-        if int(stage.op_len.sum()) != stage.ent_lval_idx.size:
-            _aud(findings, label, "S3",
-                 "%s: op_len sums to %d but %d entries staged"
-                 % (where, int(stage.op_len.sum()), stage.ent_lval_idx.size))
-        _chk_index(findings, label, where + " ent_lval_idx",
-                   stage.ent_lval_idx, l_nnz)
-        _chk_perm(findings, label, where + " ent_order", stage.ent_order,
-                  stage.ent_lval_idx.size)
-        _chk_segments(findings, label, where, stage.seg_starts,
-                      stage.seg_tgt, stage.ent_lval_idx.size, wtotal)
-        if stage.op_group is not None:
-            if stage.op_group.size != stage.op_len.size:
-                _aud(findings, label, "S3",
-                     "%s: %d op groups for %d ops"
-                     % (where, stage.op_group.size, stage.op_len.size))
-            _chk_index(findings, label, where + " op_group", stage.op_group,
-                       int(getattr(sched, "n_groups", 1)))
-    if np.any(seen_cols > 1):
-        _aud(findings, label, "S2",
-             "columns finalized more than once across stages: %r"
-             % np.flatnonzero(seen_cols > 1)[:8].tolist())
-    if np.any(seen_cols == 0) and sched.stages:
-        _aud(findings, label, "S1",
-             "columns never finalized by any stage: %r"
-             % np.flatnonzero(seen_cols == 0)[:8].tolist())
-    return findings
-
-
-def audit_schedule_buffers(plan, label: Optional[str] = None
-                           ) -> List[ShapeFinding]:
-    """Concrete bounds audit of a compiled schedule's index buffers.
-
-    Accepts a :class:`~repro.sparse.schedule.TriangularSchedule`,
-    :class:`~repro.sparse.schedule.RefactorSchedule` or
-    :class:`~repro.sparse.schedule.BlockedRefactorSchedule` and checks
-    every gather/scatter/segment array against the actual workspace
-    extents of the plan: indices in bounds, ``ent_order`` a valid
-    permutation, ``seg_starts`` strictly increasing from 0, ``seg_tgt``
-    duplicate-free per level/stage, counts consistent with staged entry
-    totals.  Returns a (possibly empty) list of findings; an empty list
-    means every buffer access the replay will perform is in bounds.
-    """
-    if hasattr(plan, "levels") and hasattr(plan, "kind"):
-        return _audit_triangular(plan, label or "tri:%s" % plan.kind)
-    if hasattr(plan, "stages") and hasattr(plan, "wtotal"):
-        return _audit_refactor(plan, label or "refactor")
-    if hasattr(plan, "schedule") and hasattr(plan, "d_gather"):
-        lab = label or "blocked"
-        findings = _audit_refactor(plan.schedule, lab)
-        sched = plan.schedule
-        if plan.d_gather.size != sched.a_indices.size:
-            _aud(findings, lab, "S3",
-                 "d_gather has %d entries for %d block values"
-                 % (plan.d_gather.size, sched.a_indices.size))
-        if plan.d_gather.size and int(plan.d_gather.min()) < 0:
-            _aud(findings, lab, "S1", "d_gather contains negative indices")
-        for name, ptr in (("l_ptr", plan.l_ptr), ("u_ptr", plan.u_ptr)):
-            arr = np.asarray(ptr)
-            if np.any(np.diff(arr) < 0):
-                _aud(findings, lab, "S2",
-                     "%s block boundaries not monotone" % name)
-        return findings
-    raise TypeError("unsupported plan object %r" % type(plan).__name__)
+    registry = core.Registry()
+    _collect_functions(core.tree_index(root), [], registry)
+    return {name: [(c.relpath, c.line) for c in group]
+            for name, group in registry.by_name.items()}
 
 
 # ======================================================================

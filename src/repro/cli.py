@@ -146,126 +146,103 @@ def _analysis_matrices(args):
         yield name, _load(name)
 
 
-def _plan_audit_findings(args):
-    """``analyze effects --plans``: symbolic disjointness audits of the
-    compiled triangular/refactor schedules for the selected matrices."""
-    from .analysis import audit_refactor_schedule, audit_triangular_schedule
+def _plan_findings(args):
+    """``--plans``: factor each selected matrix once and audit its compiled
+    triangular/refactor schedules, one walk per plan feeding both the
+    effects (E4 write disjointness) and shapes (S1-S3 buffer bounds)
+    audits.  Returns finding lists keyed by checker."""
+    from .analysis import audit_plan
     from .solvers.gp import ensure_refactor_schedule, gp_factor
     from .sparse.schedule import compile_triangular_schedule
 
-    findings = []
+    out = {"effects": [], "shapes": []}
     for name, A in _analysis_matrices(args):
         res = gp_factor(A)
-        findings.extend(audit_triangular_schedule(
-            compile_triangular_schedule(res.L, "lower"), label=f"{name}:L"))
-        findings.extend(audit_triangular_schedule(
-            compile_triangular_schedule(res.U, "upper"), label=f"{name}:U"))
-        findings.extend(audit_refactor_schedule(
-            ensure_refactor_schedule(res, A), label=f"{name}:refactor"))
-    return findings
+        for label, plan in (
+            ("L", compile_triangular_schedule(res.L, "lower")),
+            ("U", compile_triangular_schedule(res.U, "upper")),
+            ("refactor", ensure_refactor_schedule(res, A)),
+        ):
+            e4, shape = audit_plan(plan, label=f"{name}:{label}")
+            out["effects"] += e4
+            out["shapes"] += shape
+    return out
 
 
-def _shape_plan_findings(args):
-    """``analyze shapes --plans``: concrete buffer-bounds audits of the
-    compiled triangular/refactor schedules for the selected matrices."""
-    from .analysis import audit_schedule_buffers
-    from .solvers.gp import ensure_refactor_schedule, gp_factor
-    from .sparse.schedule import compile_triangular_schedule
+def _module_index(args):
+    """The one module index every file-tree checker of a run shares:
+    the package, plus the ``--path`` files (the only ones reported)."""
+    from .analysis.core import paths_index, tree_index
 
-    findings = []
-    for name, A in _analysis_matrices(args):
-        res = gp_factor(A)
-        findings.extend(audit_schedule_buffers(
-            compile_triangular_schedule(res.L, "lower"), label=f"{name}:L"))
-        findings.extend(audit_schedule_buffers(
-            compile_triangular_schedule(res.U, "upper"), label=f"{name}:U"))
-        findings.extend(audit_schedule_buffers(
-            ensure_refactor_schedule(res, A), label=f"{name}:refactor"))
-    return findings
+    return paths_index(args.path) if args.path else tree_index()
 
 
-def _tree_findings(checker: str, args):
-    """Finding dicts of one file-tree checker (lint/domains/effects/shapes)."""
+def _tree_findings(checker: str, index, plans):
+    """Finding dicts of one file-tree checker (lint/domains/effects/shapes)
+    over *index*, plus its ``--plans`` audit findings."""
     import dataclasses
 
-    from .analysis import (
-        check_domains_paths,
-        check_domains_tree,
-        check_effects_paths,
-        check_effects_tree,
-        check_shapes_paths,
-        check_shapes_tree,
-        lint_tree,
-    )
+    from .analysis import CHECKERS
+    from .analysis.core import run
 
-    if checker == "lint":
-        findings = lint_tree()
-    elif checker == "domains":
-        findings = check_domains_paths(args.path) if args.path \
-            else check_domains_tree()
-    elif checker == "effects":
-        findings = check_effects_paths(args.path) if args.path \
-            else check_effects_tree()
-        if args.plans:
-            findings = list(findings) + _plan_audit_findings(args)
-    else:  # shapes
-        findings = check_shapes_paths(args.path) if args.path \
-            else check_shapes_tree()
-        if args.plans:
-            findings = list(findings) + _shape_plan_findings(args)
+    findings = run(CHECKERS[checker], index) + plans.get(checker, [])
     return [dataclasses.asdict(f) for f in findings]
+
+
+def _dag_runs(args, checkers):
+    """Factor each selected (matrix, threads) pair once and run the
+    ``hazards`` and/or ``conservation`` checkers on its task DAG.  Yields
+    ``(name, threads, numeric, {checker: finding dicts}, hazard report)``."""
+    from .analysis import check_conservation, check_hazards, check_schedule
+
+    for name, A in _analysis_matrices(args):
+        for p in args.threads:
+            num = Basker(n_threads=p, pipeline_columns=args.pipeline).factor(A)
+            docs, rep = {}, None
+            if "hazards" in checkers:
+                rep = check_hazards(num.tasks)
+                docs["hazards"] = [
+                    {"matrix": name, "threads": p, "kind": h.kind,
+                     "message": h.message}
+                    for h in rep.hazards
+                ]
+            if "conservation" in checkers:
+                sched = num.schedule(SANDY_BRIDGE)
+                rep1 = check_conservation(num.tasks, num.ledger, num.overhead_ledger)
+                rep2 = check_schedule(num.tasks, sched)
+                docs["conservation"] = [
+                    {"matrix": name, "threads": p, "kind": "conservation",
+                     "message": str(f)}
+                    for f in list(rep1.findings) + list(rep2.findings)
+                ]
+            yield name, p, num, docs, rep
 
 
 def _analyze_all(args, base_fps) -> int:
     """``analyze all``: every checker in one pass, one report, one exit
-    code.  File-tree checkers run over the whole tree; hazards and
+    code.  File-tree checkers share one module index; hazards and
     conservation share one factorization per (matrix, threads) pair."""
     import json
 
-    from .analysis import (
-        apply_baseline,
-        check_conservation,
-        check_hazards,
-        check_schedule,
-        write_baseline_many,
-    )
+    from .analysis import apply_baseline, write_baseline_many
 
     as_json = args.format == "json"
-    sections = {}
     all_docs = {}
+    index = _module_index(args)
+    plans = _plan_findings(args) if args.plans else {}
     for checker in ("lint", "domains", "effects", "shapes"):
-        docs = _tree_findings(checker, args)
+        all_docs[checker] = _tree_findings(checker, index, plans)
+    all_docs.update(hazards=[], conservation=[])
+    configs = []
+    for name, p, num, docs, _rep in _dag_runs(args, ("hazards", "conservation")):
+        all_docs["hazards"] += docs["hazards"]
+        all_docs["conservation"] += docs["conservation"]
+        configs.append({"matrix": name, "threads": p, "tasks": len(num.tasks)})
+    sections = {}
+    for checker, docs in all_docs.items():
         new, suppressed = apply_baseline(checker, docs, base_fps)
         sections[checker] = {"ok": not new, "findings": new,
                              "suppressed": suppressed}
-        all_docs[checker] = docs
-
-    hz_docs, cons_docs, configs = [], [], []
-    for name, A in _analysis_matrices(args):
-        for p in args.threads:
-            solver = Basker(n_threads=p, pipeline_columns=args.pipeline)
-            num = solver.factor(A)
-            rep = check_hazards(num.tasks)
-            hz_docs.extend(
-                {"matrix": name, "threads": p, "kind": h.kind,
-                 "message": h.message}
-                for h in rep.hazards
-            )
-            sched = num.schedule(SANDY_BRIDGE)
-            rep1 = check_conservation(num.tasks, num.ledger, num.overhead_ledger)
-            rep2 = check_schedule(num.tasks, sched)
-            cons_docs.extend(
-                {"matrix": name, "threads": p, "kind": "conservation",
-                 "message": str(f)}
-                for f in list(rep1.findings) + list(rep2.findings)
-            )
-            configs.append({"matrix": name, "threads": p,
-                            "tasks": len(num.tasks)})
-    for checker, docs in (("hazards", hz_docs), ("conservation", cons_docs)):
-        new, suppressed = apply_baseline(checker, docs, base_fps)
-        sections[checker] = {"ok": not new, "findings": new,
-                             "suppressed": suppressed}
-        all_docs[checker] = docs
 
     if args.write_baseline:
         n = write_baseline_many(args.write_baseline, all_docs)
@@ -297,14 +274,7 @@ def _analyze_all(args, base_fps) -> int:
 def _cmd_analyze(args) -> int:
     import json
 
-    from .analysis import (
-        apply_baseline,
-        check_conservation,
-        check_hazards,
-        check_schedule,
-        load_baseline,
-        write_baseline,
-    )
+    from .analysis import apply_baseline, load_baseline, write_baseline
 
     as_json = args.format == "json"
     base_fps = load_baseline(args.baseline) if args.baseline else set()
@@ -313,7 +283,9 @@ def _cmd_analyze(args) -> int:
         return _analyze_all(args, base_fps)
 
     if args.checker in ("lint", "domains", "effects", "shapes"):
-        docs = _tree_findings(args.checker, args)
+        plans = _plan_findings(args) \
+            if args.plans and args.checker in ("effects", "shapes") else {}
+        docs = _tree_findings(args.checker, _module_index(args), plans)
         new, suppressed = apply_baseline(args.checker, docs, base_fps)
         if args.write_baseline:
             n = write_baseline(args.write_baseline, args.checker, docs)
@@ -334,68 +306,31 @@ def _cmd_analyze(args) -> int:
             print(f"{args.checker}: {len(new)} finding(s){tail}")
         return 1 if new else 0
 
+    hazards = args.checker == "hazards"
     failures = 0
     configs = []
     all_docs = []
-    for name, A in _analysis_matrices(args):
-        for p in args.threads:
-            solver = Basker(n_threads=p, pipeline_columns=args.pipeline)
-            num = solver.factor(A)
-            if args.checker == "hazards":
-                rep = check_hazards(num.tasks)
-                docs = [
-                    {"matrix": name, "threads": p, "kind": h.kind,
-                     "message": h.message}
-                    for h in rep.hazards
-                ]
-                new, suppressed = apply_baseline(args.checker, docs, base_fps)
-                all_docs.extend(docs)
-                if as_json:
-                    configs.append({
-                        "matrix": name, "threads": p,
-                        "tasks": len(num.tasks),
-                        "pairs_checked": rep.n_pairs_checked,
-                        "ok": not new,
-                        "findings": new,
-                        "suppressed": suppressed,
-                    })
-                else:
-                    status = "OK" if not new else f"{len(new)} HAZARD(S)"
-                    if suppressed:
-                        status += f" (+{len(suppressed)} suppressed)"
-                    print(f"{name:16s} p={p:<3d} {len(num.tasks):5d} tasks, "
-                          f"{rep.n_pairs_checked:6d} pairs: {status}")
-                    for d in new:
-                        print(f"    [{d['kind']}] {d['message']}")
-                failures += bool(new)
-            else:
-                sched = num.schedule(SANDY_BRIDGE)
-                rep1 = check_conservation(num.tasks, num.ledger, num.overhead_ledger)
-                rep2 = check_schedule(num.tasks, sched)
-                docs = [
-                    {"matrix": name, "threads": p, "kind": "conservation",
-                     "message": str(f)}
-                    for f in list(rep1.findings) + list(rep2.findings)
-                ]
-                new, suppressed = apply_baseline(args.checker, docs, base_fps)
-                all_docs.extend(docs)
-                if as_json:
-                    configs.append({
-                        "matrix": name, "threads": p,
-                        "tasks": len(num.tasks),
-                        "ok": not new,
-                        "findings": new,
-                        "suppressed": suppressed,
-                    })
-                else:
-                    status = "OK" if not new else f"{len(new)} FINDING(S)"
-                    if suppressed:
-                        status += f" (+{len(suppressed)} suppressed)"
-                    print(f"{name:16s} p={p:<3d} {len(num.tasks):5d} tasks: "
-                          f"{status}")
-                    for d in new:
-                        print(f"    {d['message']}")
-                failures += bool(new)
+    for name, p, num, docs, rep in _dag_runs(args, (args.checker,)):
+        docs = docs[args.checker]
+        new, suppressed = apply_baseline(args.checker, docs, base_fps)
+        all_docs.extend(docs)
+        failures += bool(new)
+        if as_json:
+            cfg = {"matrix": name, "threads": p, "tasks": len(num.tasks)}
+            if hazards:
+                cfg["pairs_checked"] = rep.n_pairs_checked
+            configs.append({**cfg, "ok": not new, "findings": new,
+                            "suppressed": suppressed})
+            continue
+        status = "OK" if not new else \
+            f"{len(new)} {'HAZARD(S)' if hazards else 'FINDING(S)'}"
+        if suppressed:
+            status += f" (+{len(suppressed)} suppressed)"
+        pairs = f", {rep.n_pairs_checked:6d} pairs" if hazards else ""
+        print(f"{name:16s} p={p:<3d} {len(num.tasks):5d} tasks{pairs}: {status}")
+        for d in new:
+            print(f"    [{d['kind']}] {d['message']}" if hazards
+                  else f"    {d['message']}")
     if args.write_baseline:
         n = write_baseline(args.write_baseline, args.checker, all_docs)
         print(f"wrote baseline {args.write_baseline} ({n} fingerprint(s))",
@@ -886,13 +821,13 @@ def main(argv=None) -> int:
     p.add_argument("--format", choices=["human", "json"], default="human",
                    help="output format (default: human)")
     p.add_argument("--path", action="append",
-                   help="domains/effects/shapes only: check these file(s) "
-                        "against the package contracts instead of the whole "
-                        "tree (repeatable)")
+                   help="lint/domains/effects/shapes/all: check these file(s), "
+                        "as kernel code, against the package contracts instead "
+                        "of the whole tree (repeatable)")
     p.add_argument("--plans", action="store_true",
-                   help="effects/shapes only: also audit compiled triangular/"
-                        "refactor schedules (E4 write disjointness, S1/S2 "
-                        "buffer bounds)")
+                   help="effects/shapes/all: also audit the compiled "
+                        "triangular/refactor schedules of each --matrix "
+                        "(E4 write disjointness, S1-S3 buffer bounds)")
     p.add_argument("--baseline",
                    help="suppress findings fingerprinted in this baseline JSON; "
                         "exit nonzero only on new findings")

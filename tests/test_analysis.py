@@ -478,6 +478,27 @@ class TestAnalyzeCLI:
         assert main(["analyze", "lint"]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
+    def test_analyze_all_parses_and_tokenizes_each_module_once(
+            self, monkeypatch, capsys):
+        import pathlib
+        import tokenize
+
+        from repro.analysis import core
+        from repro.cli import main
+
+        parsed, tokenized = [], []
+        parse, generate_tokens = core.parse_module, tokenize.generate_tokens
+        monkeypatch.setattr(core, "parse_module", lambda source, relpath: (
+            parsed.append(relpath) or parse(source, relpath)))
+        monkeypatch.setattr(tokenize, "generate_tokens", lambda readline: (
+            tokenized.append(readline) or generate_tokens(readline)))
+        rc = main(["analyze", "all", "--matrix", "circuit_4", "--threads", "1"])
+        assert rc == 0
+        root = pathlib.Path(core.package_root())
+        modules = sorted(p.relative_to(root).as_posix() for p in root.rglob("*.py"))
+        assert sorted(parsed) == modules
+        assert len(tokenized) <= len(modules)
+
     def test_analyze_hazards_single_matrix(self, capsys):
         from repro.cli import main
 

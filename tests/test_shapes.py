@@ -276,6 +276,16 @@ class TestFixtures:
     def test_clean_fixture_is_clean(self):
         assert check_shapes_paths([str(FIXTURES / "clean_kernel.py")]) == []
 
+    def test_paths_report_the_path_as_given(self, tmp_path):
+        # Reported under its basename, this target would read as the
+        # package's own interface.py.
+        target = tmp_path / "interface.py"
+        target.write_text((FIXTURES / "s1_gather_oob.py").read_text())
+        findings = check_shapes_paths([str(target)])
+        assert codes(findings) == ["S1"]
+        for f in findings:
+            assert f.path == str(target)
+
     def test_annotated_tree_is_clean(self):
         assert check_shapes_tree() == []
 
