@@ -37,14 +37,10 @@ from ..resilience.faults import fault_values as _fault_values
 from ..parallel.machine import MachineModel, SANDY_BRIDGE
 from ..parallel.sim import Schedule, SimTask, simulate
 from ..parallel.threads import parallel_map
-from ..solvers.gp import GP_DEFAULT_PIVOT_TOL, GPResult, gp_factor, gp_refactor
-from ..solvers.triangular import lu_solve_factors
+from ..solvers.gp import GP_DEFAULT_PIVOT_TOL, GPResult, gp_factor
+from ..solvers.triangular import btf_solve
 from ..sparse.csc import CSC
-from ..sparse.schedule import (
-    ScheduleCompileError,
-    diagonal_block_gathers,
-    permutation_gather,
-)
+from ..sparse.schedule import ReplayPlan, ScheduleCompileError
 from .numeric import NDNumericBlock, TaskBuilder, factor_nd_block
 from .structure import BaskerSymbolic
 from .symbolic import DEFAULT_ND_THRESHOLD, analyze as symbolic_analyze
@@ -91,9 +87,9 @@ class BaskerNumeric:
     # + factor assembly); repro.analysis.conservation balances
     # sum(task ledgers) + overhead_ledger == ledger.
     overhead_ledger: CostLedger = field(default_factory=CostLedger)
-    # Value-gather maps + per-block elimination schedules reused by
-    # refactor_fast across a fixed-pattern sequence (None until then).
-    refactor_cache: Optional[dict] = None
+    # Replay plan reused by refactor_fast across a fixed-pattern
+    # sequence (None until then).
+    refactor_cache: Optional[ReplayPlan] = None
 
     # ------------------------------------------------------------------
     @property
@@ -154,6 +150,14 @@ class BaskerNumeric:
             return lu.L, lu.U
         nd = self.nd_numeric[b]
         return nd.L, nd.U
+
+    def invalidate_caches(self) -> int:
+        """Eviction hook: drop the replay plan and the compiled
+        triangular solve schedules on the factors and ``M``.  Returns
+        the number of compiled solve schedules released."""
+        factors = [m for k in range(self.symbolic.n_blocks)
+                   for m in self.block_factors(k)]
+        return ReplayPlan.release(self, [self.M] + factors)
 
 
 class Basker:
@@ -328,105 +332,45 @@ class Basker:
 
     def _refactor_fast(self, A: CSC, numeric: BaskerNumeric) -> BaskerNumeric:
         sym = numeric.symbolic
-        splits = sym.block_splits
-        n = sym.n
-        tr = get_tracer()
-        metrics = tr.metrics
-        sp = tr.span("refactor.replay")
+        sp = get_tracer().span("refactor.replay")
         with sp:
-            cache = numeric.refactor_cache
-            if cache is None:
-                metrics.incr("basker.refactor.gather.miss")
-            elif (
-                not np.array_equal(A.indptr, cache["a_indptr"])
-                or not np.array_equal(A.indices, cache["a_indices"])
-                or not np.array_equal(numeric.row_perm, cache["row_perm"])
-            ):
-                metrics.incr("basker.refactor.gather.invalidate")
-                cache = None
-            else:
-                metrics.incr("basker.refactor.gather.hit")
-            if cache is None:
-                m_indptr, m_indices, m_gather = permutation_gather(
-                    A, numeric.row_perm, sym.col_perm
-                )
-                cache = {
-                    "a_indptr": A.indptr,
-                    "a_indices": A.indices,
-                    "row_perm": numeric.row_perm.copy(),
-                    "m": (m_indptr, m_indices, m_gather),
-                    "blocks": diagonal_block_gathers(m_indptr, m_indices, splits),
-                    "sched": {},
-                }
-                numeric.refactor_cache = cache
-            m_indptr, m_indices, m_gather = cache["m"]
-            m_data = _fault_values("basker.refactor.values", A.data)[m_gather]
-            M = CSC(n, n, m_indptr, m_indices, m_data)
+            plan = ReplayPlan.lookup(numeric.refactor_cache, "basker", A,
+                                     numeric.row_perm, numeric.col_perm,
+                                     sym.block_splits)
+            numeric.refactor_cache = plan
+            M = plan.permuted(_fault_values("basker.refactor.values", A.data))
             total = CostLedger()
             total.mem_words += A.nnz
+            # row_perm already folds in all pivoting: identity order.
+            replayed = plan.replay_blocks(
+                M.data, [numeric.block_factors(k) for k in range(sym.n_blocks)])
 
             fine_lu: Dict[int, GPResult] = {}
             nd_numeric: Dict[int, NDNumericBlock] = {}
-            for k in range(sym.n_blocks):
-                lo, hi = int(splits[k]), int(splits[k + 1])
-                if hi == lo:
-                    continue
-                bptr, brows, bgather = cache["blocks"][k]
-                blk = CSC(hi - lo, hi - lo, bptr, brows, m_data[bgather])
-                L, U = numeric.block_factors(k)
-                led = CostLedger()
-                # row_perm already folds in all pivoting: identity order.
-                fixed = GPResult(L, U, np.arange(hi - lo, dtype=np.int64), led,
-                                 schedule=cache["sched"].get(k))
-                lu = gp_refactor(blk, fixed, ledger=led)
-                cache["sched"][k] = lu.schedule
+            for k, (L, U, led) in enumerate(replayed):
                 total.add(led)
                 if k in numeric.fine_lu:
-                    fine_lu[k] = lu
+                    fine_lu[k] = GPResult(L, U, np.arange(L.n_cols, dtype=np.int64), led)
                 else:
-                    nd = numeric.nd_numeric[k]
                     nd_numeric[k] = dataclasses.replace(
-                        nd, L=lu.L, U=lu.U, ledger=led, overhead=CostLedger()
+                        numeric.nd_numeric[k], L=L, U=U, ledger=led,
+                        overhead=CostLedger(),
                     )
             sp.attach(total)
         return BaskerNumeric(
             symbolic=sym,
             fine_lu=fine_lu,
             nd_numeric=nd_numeric,
-            row_perm=numeric.row_perm.copy(),
+            row_perm=numeric.row_perm,
             col_perm=sym.col_perm,
             M=M,
             tasks=[],
             task_labels={},
             ledger=total,
             overhead_ledger=total.copy(),
-            refactor_cache=cache,
+            refactor_cache=plan,
         )
 
     # ------------------------------------------------------------------
-    @domains(b="vec[global]", returns="vec[global]")
-    def solve(self, numeric: BaskerNumeric, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` via coarse-BTF block back-substitution."""
-        b = np.asarray(b, dtype=np.float64)
-        n = numeric.symbolic.n
-        if b.shape != (n,):
-            raise StructureError("right-hand side has wrong length")
-        with get_tracer().span("solve.tri"):
-            splits = numeric.symbolic.block_splits
-            c = b[numeric.row_perm].copy()
-            z = np.zeros(n, dtype=np.float64)
-            M = numeric.M
-            for k in range(numeric.symbolic.n_blocks - 1, -1, -1):
-                lo, hi = int(splits[k]), int(splits[k + 1])
-                if hi == lo:
-                    continue
-                L, U = numeric.block_factors(k)
-                z[lo:hi] = lu_solve_factors(L, U, c[lo:hi])
-                for j in range(lo, hi):
-                    rows, vals = M.col(j)
-                    cut = np.searchsorted(rows, lo)
-                    if cut:
-                        c[rows[:cut]] -= vals[:cut] * z[j]
-            x = np.empty(n, dtype=np.float64)
-            x[numeric.col_perm] = z
-        return x
+    # ``A x = b`` via coarse-BTF block back-substitution.
+    solve = staticmethod(btf_solve)

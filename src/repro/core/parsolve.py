@@ -31,6 +31,7 @@ from ..parallel.ledger import CostLedger
 from ..parallel.machine import MachineModel
 from ..parallel.sim import Schedule, SimTask, simulate
 from ..sparse.csc import CSC
+from ..sparse.schedule import triangular_schedule
 
 __all__ = ["TriangularLevels", "level_schedule", "parallel_lower_solve", "parallel_upper_solve"]
 
@@ -67,22 +68,17 @@ class TriangularLevels:
 
 
 def level_schedule(T: CSC, lower: bool = True) -> TriangularLevels:
-    """Compute the level sets of a (unit) triangular CSC factor."""
-    n = T.n_cols
+    """Level sets of a (unit) triangular CSC factor.
+
+    Row ``i``'s level is one more than the deepest level among the rows
+    its off-diagonal entries reference — exactly the column levels of
+    the compiled :class:`~repro.sparse.schedule.TriangularSchedule`
+    that the dense-RHS solves replay, so the levels are taken from that
+    (cached) schedule and the simulator times the plan the solves run.
+    """
+    sched = triangular_schedule(T, "lower" if lower else "upper")
     R = T.transpose()  # rows of T as columns of R
-    level = np.zeros(n, dtype=np.int64)
-    order = range(n) if lower else range(n - 1, -1, -1)
-    for i in order:
-        deps, _ = R.col(i)
-        lv = 0
-        for j in deps:
-            j = int(j)
-            if (lower and j < i) or (not lower and j > i):
-                if level[j] + 1 > lv:
-                    lv = level[j] + 1
-        level[i] = lv
-    n_levels = int(level.max()) + 1 if n else 0
-    levels = [np.flatnonzero(level == k).astype(np.int64) for k in range(n_levels)]
+    levels = [lv.cols for lv in sched.levels]
     return TriangularLevels(levels=levels, Rp=R.indptr, Ri=R.indices, Rx=R.data, lower=lower)
 
 

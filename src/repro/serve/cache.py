@@ -114,7 +114,7 @@ class CacheEntry:
         if sym is not None and hasattr(sym, "invalidate"):
             sym.invalidate()
         num = getattr(self.solver, "_numeric", None)
-        if num is not None and hasattr(num, "invalidate_caches"):
+        if num is not None:
             num.invalidate_caches()
         return self.generation
 

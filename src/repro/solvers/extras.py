@@ -35,11 +35,7 @@ __all__ = [
 
 def _blocked_view(numeric) -> Tuple[np.ndarray, List[Tuple[CSC, CSC]], CSC, np.ndarray, np.ndarray]:
     """(block_splits, [(L, U)], M, row_perm, col_perm) for any numeric."""
-    if hasattr(numeric, "block_lu"):  # KLUNumeric
-        splits = numeric.symbolic.block_splits
-        blocks = [(lu.L, lu.U) for lu in numeric.block_lu]
-        return splits, blocks, numeric.M, numeric.row_perm, numeric.col_perm
-    if hasattr(numeric, "block_factors"):  # BaskerNumeric
+    if hasattr(numeric, "block_factors"):  # KLUNumeric / BaskerNumeric
         splits = numeric.symbolic.block_splits
         blocks = [numeric.block_factors(k) for k in range(len(splits) - 1)]
         return splits, blocks, numeric.M, numeric.row_perm, numeric.col_perm

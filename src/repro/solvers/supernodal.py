@@ -42,12 +42,7 @@ from ..parallel.ledger import CostLedger
 from ..parallel.machine import MachineModel
 from ..parallel.sim import Schedule, SimTask, simulate
 from ..sparse.csc import CSC
-from ..sparse.schedule import (
-    ScheduleCompileError,
-    adopt_solve_schedules,
-    compile_refactor_schedule,
-    permutation_gather,
-)
+from ..sparse.schedule import ReplayPlan, ScheduleCompileError
 from .triangular import lu_solve_factors
 
 # effects: blocks F=F G=G
@@ -99,9 +94,9 @@ class SupernodalNumeric:
     tasks: List[SimTask]
     ledger: CostLedger
     perturbed_pivots: int
-    # Input value-gather + compiled elimination schedule reused by
-    # refactor_fast across a fixed-pattern sequence (None until then).
-    refactor_cache: Optional[dict] = None
+    # One-block replay plan reused by refactor_fast across a
+    # fixed-pattern sequence (None until then).
+    refactor_cache: Optional[ReplayPlan] = None
 
     @property
     def factor_nnz(self) -> int:
@@ -118,6 +113,11 @@ class SupernodalNumeric:
 
     def factor_seconds(self, machine: MachineModel, n_threads: int = 1) -> float:
         return self.schedule(machine, n_threads).makespan
+
+    def invalidate_caches(self) -> int:
+        """Eviction hook: drop the replay plan and the compiled
+        triangular solve schedules on ``L`` and ``U``."""
+        return ReplayPlan.release(self, (self.L, self.U))
 
 
 class SupernodalLU:
@@ -519,9 +519,9 @@ class SupernodalLU:
     def refactor_fast(self, A: CSC, numeric: SupernodalNumeric) -> SupernodalNumeric:
         """Values-only refactorization on the fixed supernodal pattern.
 
-        Replays the whole factor through a cached elimination schedule
-        (:mod:`repro.sparse.schedule`) — pure value gathers plus
-        level-scheduled vectorized elimination.  Falls back to
+        Replays the whole factor through a one-block
+        :class:`~repro.sparse.schedule.ReplayPlan` — pure value gathers
+        plus level-scheduled vectorized elimination.  Falls back to
         :meth:`refactor` (full factor, static pivoting re-applied) when
         the prior factor relied on perturbed pivots, a reused pivot
         falls to zero, or the amalgamated pattern cannot be scheduled.
@@ -532,53 +532,31 @@ class SupernodalLU:
         # of M; an exact replay would divide by near-zero pivots.
         if numeric.perturbed_pivots:
             return self.refactor(A, numeric)
-        sym = numeric.symbolic
-        n = sym.n
-        cache = numeric.refactor_cache
-        if (
-            cache is None
-            or not np.array_equal(A.indptr, cache["a_indptr"])
-            or not np.array_equal(A.indices, cache["a_indices"])
-        ):
-            m_indptr, m_indices, m_gather = permutation_gather(
-                A, numeric.row_perm, numeric.col_perm
-            )
-            M0 = CSC(n, n, m_indptr, m_indices, np.zeros(m_indices.size))
-            try:
-                # row_perm is pre-applied in M, so the pivot order is
-                # the identity (static pivoting: no numeric pivoting).
-                sched = compile_refactor_schedule(
-                    numeric.L, numeric.U, M0, np.arange(n, dtype=np.int64)
-                )
-            except ScheduleCompileError:
-                return self.refactor(A, numeric)
-            cache = {
-                "a_indptr": A.indptr,
-                "a_indices": A.indices,
-                "m_gather": m_gather,
-                "sched": sched,
-            }
-            numeric.refactor_cache = cache
+        n = numeric.symbolic.n
+        plan = ReplayPlan.lookup(numeric.refactor_cache, "supernodal", A,
+                                 numeric.row_perm, numeric.col_perm,
+                                 np.array([0, n], dtype=np.int64))
+        numeric.refactor_cache = plan
+        try:
+            # row_perm is pre-applied in M, so the pivot order is the
+            # identity (static pivoting: no numeric pivoting).
+            [(L, U, block_led)] = plan.replay_blocks(
+                plan.permuted(A.data).data, [(numeric.L, numeric.U)])
+        except (ScheduleCompileError, SingularMatrixError):
+            return self.refactor(A, numeric)
         led = CostLedger()
         led.mem_words += A.nnz  # permutation / scatter traffic
-        try:
-            Lx, Ux = cache["sched"].run(A.data[cache["m_gather"]], led)
-        except SingularMatrixError:
-            return self.refactor(A, numeric)
-        Lnew = CSC(n, n, numeric.L.indptr.copy(), numeric.L.indices.copy(), Lx)
-        Unew = CSC(n, n, numeric.U.indptr.copy(), numeric.U.indices.copy(), Ux)
-        adopt_solve_schedules(numeric.L, Lnew)
-        adopt_solve_schedules(numeric.U, Unew)
+        led.add(block_led)
         return SupernodalNumeric(
-            symbolic=sym,
-            L=Lnew,
-            U=Unew,
+            symbolic=numeric.symbolic,
+            L=L,
+            U=U,
             row_perm=numeric.row_perm,
             col_perm=numeric.col_perm,
             tasks=[],
             ledger=led,
             perturbed_pivots=0,
-            refactor_cache=cache,
+            refactor_cache=plan,
         )
 
     def solve(self, numeric: SupernodalNumeric, b: np.ndarray) -> np.ndarray:

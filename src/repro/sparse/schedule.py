@@ -30,6 +30,11 @@ Two compiled objects are produced:
   then apply every update they source — replays the reference
   column-by-column loop exactly.
 
+On top of them, :class:`ReplayPlan` is one pattern's whole values-only
+refactorization — value gathers, one :class:`BlockedRefactorSchedule`
+over every diagonal block, revalidation and per-block results — shared
+by the KLU, Basker and supernodal ``refactor_fast`` paths.
+
 The replay keeps :class:`~repro.parallel.ledger.CostLedger` counts
 *identical* to the reference loops (updates whose source value is zero
 are counted out, exactly as the loops skip them); the reference
@@ -42,7 +47,9 @@ once and replay vectorized for every subsequent matrix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -50,6 +57,7 @@ import numpy as np
 from ..contracts import domains, shapes
 from ..errors import SingularMatrixError, StructureError, ZeroPivotError
 from ..obs.tracer import get_tracer
+from ..parallel.ledger import CostLedger
 from ..resilience.faults import active_plan as _fault_plan
 from .csc import CSC
 
@@ -64,6 +72,7 @@ __all__ = [
     "compile_refactor_schedule",
     "permutation_gather",
     "diagonal_block_gathers",
+    "ReplayPlan",
 ]
 
 
@@ -365,6 +374,17 @@ def _same_pattern(a: np.ndarray, b: np.ndarray) -> bool:
     of a fixed-pattern sequence, so ``a is b`` almost always decides.
     """
     return a is b or np.array_equal(a, b)
+
+
+def _same_patterns(new: List[tuple], old: List[tuple]) -> bool:
+    """:func:`_same_pattern` over lists of per-block pattern tuples,
+    with one C-level identity pass before any array comparison."""
+    if len(new) != len(old):
+        return False
+    flat_new, flat_old = chain.from_iterable(new), chain.from_iterable(old)
+    if all(map(operator.is_, flat_new, flat_old)):
+        return True
+    return all(_same_pattern(a, b) for p, q in zip(new, old) for a, b in zip(p, q))
 
 
 @dataclass
@@ -872,3 +892,139 @@ def diagonal_block_gathers(
         np.cumsum(np.bincount(local_cols, minlength=hi - lo), out=bptr[1:])
         out.append((bptr, local_rows, gather))
     return out
+
+
+# ======================================================================
+# Replay plans: one compiled refactorization per pattern
+# ======================================================================
+
+
+class ReplayPlan:
+    """One pattern's compiled values-only refactorization.
+
+    Built by the first ``refactor_fast`` of a fixed-pattern sequence and
+    carried along it as the numeric objects' ``refactor_cache``, the
+    plan owns, for KLU, Basker and the supernodal solver alike:
+
+    * lookup and revalidation against the input pattern and the final
+      row permutation (``{prefix}.refactor.gather.{hit,miss,invalidate}``)
+      and against the block factor patterns
+      (``{prefix}.refactor.schedule.*``), each with an object-identity
+      fast path;
+    * the value gathers turning ``A.permute(row_perm, col_perm)`` and
+      the diagonal-block extraction into single fancy-index operations;
+    * one :class:`BlockedRefactorSchedule` replaying every diagonal
+      block at once, and the per-block factors and ledgers rebuilt from
+      it (identical to :func:`~repro.solvers.gp.gp_refactor` block by
+      block).
+
+    A solver without a block structure is a one-block plan with
+    ``splits = [0, n]``.  What to do when a reused pivot degenerates is
+    the solver's own policy.
+    """
+
+    def __init__(self, prefix: str, A: CSC, row_perm: np.ndarray,
+                 col_perm: np.ndarray, splits: np.ndarray) -> None:
+        self.prefix = prefix
+        self.a_indptr, self.a_indices = A.indptr, A.indices
+        self.row_perm = row_perm
+        self.splits = splits
+        self.m_indptr, self.m_indices, self.m_gather = permutation_gather(
+            A, row_perm, col_perm
+        )
+        self.blocks = diagonal_block_gathers(self.m_indptr, self.m_indices, splits)
+        # Compiled lazily from the block factor patterns it was built for.
+        self.replay: Optional[BlockedRefactorSchedule] = None
+        self.replay_patterns: Optional[List[tuple]] = None
+
+    @classmethod
+    def lookup(cls, plan: Optional["ReplayPlan"], prefix: str, A: CSC,
+               row_perm: np.ndarray, col_perm: np.ndarray,
+               splits: np.ndarray) -> "ReplayPlan":
+        """``plan`` if it still applies to ``A`` and ``row_perm``, else a
+        freshly built one."""
+        metrics = get_tracer().metrics
+        if plan is None:
+            metrics.incr(f"{prefix}.refactor.gather.miss")
+        elif not (_same_pattern(A.indptr, plan.a_indptr)
+                  and _same_pattern(A.indices, plan.a_indices)
+                  and _same_pattern(row_perm, plan.row_perm)):
+            metrics.incr(f"{prefix}.refactor.gather.invalidate")
+            plan = None
+        else:
+            metrics.incr(f"{prefix}.refactor.gather.hit")
+        return plan if plan is not None else cls(prefix, A, row_perm, col_perm, splits)
+
+    @staticmethod
+    def release(numeric, matrices) -> int:
+        """Eviction hook of every numeric object: drop its plan and the
+        compiled solve schedules cached on ``matrices`` (its factors and
+        permuted matrix).  Returns the number of schedules released."""
+        numeric.refactor_cache = None
+        return sum(drop_solve_schedules(M) for M in matrices)
+
+    # ------------------------------------------------------------------
+    @shapes(a_data="f8[k]")
+    def permuted(self, a_data: np.ndarray) -> CSC:
+        """``A.permute(row_perm, col_perm)`` for values ``a_data``."""
+        n = self.m_indptr.size - 1
+        return CSC(n, n, self.m_indptr, self.m_indices, a_data[self.m_gather])
+
+    def block(self, k: int, m_data: np.ndarray) -> CSC:
+        """Diagonal block ``k`` of the permuted matrix with values ``m_data``."""
+        size = int(self.splits[k + 1] - self.splits[k])
+        bptr, brows, bgather = self.blocks[k]
+        return CSC(size, size, bptr, brows, m_data[bgather])
+
+    def _schedule(self, factors) -> BlockedRefactorSchedule:
+        metrics = get_tracer().metrics
+        pats = [(L.indptr, L.indices, U.indptr, U.indices) for L, U in factors]
+        if self.replay is None:
+            metrics.incr(f"{self.prefix}.refactor.schedule.miss")
+        elif not _same_patterns(pats, self.replay_patterns):
+            metrics.incr(f"{self.prefix}.refactor.schedule.invalidate")
+            self.replay = self.replay_patterns = None
+        else:
+            metrics.incr(f"{self.prefix}.refactor.schedule.hit")
+            return self.replay
+        self.replay = BlockedRefactorSchedule(self.splits, pats, self.blocks)
+        self.replay_patterns = pats
+        return self.replay
+
+    def replay_blocks(self, m_data: np.ndarray, factors) -> List[Tuple[CSC, CSC, CostLedger]]:
+        """Refactor every diagonal block of the permuted matrix (values
+        ``m_data``) on the fixed patterns and pivots of ``factors``
+        (per block ``(L, U)``).
+
+        Returns per block ``(L, U, ledger)``; the new factors share the
+        old patterns and adopt their compiled solve schedules.  Raises
+        :class:`ScheduleCompileError` when the patterns cannot be
+        compiled and :class:`~repro.errors.SingularMatrixError` when a
+        reused pivot is unusable.  Sets the ``gp.pivot_growth`` gauge,
+        ``max|U| / max|diagonal-block input|``, when metrics are on.
+        """
+        replay = self._schedule(factors)
+        Lx, Ux, gflops = replay.run(m_data)
+        sched = replay.schedule
+        metrics = get_tracer().metrics
+        if metrics.enabled:
+            amax = float(np.max(np.abs(m_data[replay.d_gather]), initial=0.0))
+            umax = float(np.max(np.abs(Ux), initial=0.0))
+            metrics.set_gauge("gp.pivot_growth", umax / amax if amax else 0.0)
+        # Per-block scalars as Python numbers: one conversion per array.
+        gflops, gdiv = gflops.tolist(), sched.group_div_flops.tolist()
+        gcols, gmem = sched.group_columns.tolist(), sched.group_mem_words.tolist()
+        l_ptr, u_ptr = replay.l_ptr.tolist(), replay.u_ptr.tolist()
+        out = []
+        for k, ((L, U), (lp, li, up, ui)) in enumerate(zip(factors, self.replay_patterns)):
+            led = CostLedger()
+            led.sparse_flops += gflops[k] + gdiv[k]
+            led.columns += gcols[k]
+            led.mem_words += gmem[k]
+            size = L.n_cols
+            Lb = CSC(size, size, lp, li, Lx[l_ptr[k]:l_ptr[k + 1]])
+            Ub = CSC(size, size, up, ui, Ux[u_ptr[k]:u_ptr[k + 1]])
+            adopt_solve_schedules(L, Lb)
+            adopt_solve_schedules(U, Ub)
+            out.append((Lb, Ub, led))
+        return out

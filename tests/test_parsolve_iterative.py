@@ -54,6 +54,37 @@ class TestLevelSchedule:
         assert [int(lv[0]) for lv in tl.levels] == [3, 2, 1, 0]
 
 
+def _row_levels_reference(T, lower):
+    """Row level sets straight from the definition: row ``i`` sits one
+    level below the deepest row its off-diagonal entries reference."""
+    n = T.n_cols
+    R = T.transpose()
+    level = np.zeros(n, dtype=np.int64)
+    for i in (range(n) if lower else range(n - 1, -1, -1)):
+        deps, _ = R.col(i)
+        deps = deps[deps < i] if lower else deps[deps > i]
+        level[i] = level[deps].max() + 1 if deps.size else 0
+    return [np.flatnonzero(level == k) for k in range(int(level.max(initial=-1)) + 1)]
+
+
+@pytest.mark.parametrize("name", ["memplus", "Power0*+", "Xyce0*", "circuit_4"])
+def test_simulated_levels_are_the_replayed_levels(name):
+    """The levels the simulator times are the levels the compiled
+    triangular-solve schedule replays, and both match the definition."""
+    from repro.matrices import get_matrix
+    from repro.sparse.schedule import compile_triangular_schedule
+
+    lu = gp_factor(get_matrix(name))
+    for T, lower, kind in ((lu.L, True, "lower"), (lu.U, False, "upper")):
+        simulated = level_schedule(T, lower=lower).levels
+        replayed = [lv.cols for lv in compile_triangular_schedule(T, kind).levels]
+        reference = _row_levels_reference(T, lower)
+        assert len(simulated) == len(replayed) == len(reference) > 1
+        for s, r, d in zip(simulated, replayed, reference):
+            assert np.array_equal(s, r)
+            assert np.array_equal(s, d)
+
+
 class TestParallelTriangularSolve:
     def test_matches_serial_lower(self):
         _, lu, rng = _factors(60, 2)

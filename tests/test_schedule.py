@@ -327,6 +327,41 @@ def test_basker_refactor_fast_residuals():
         r = np.abs(A.to_dense() @ x - 1.0).max()
         assert r < 1e-8
 
+    # Over the Xyce sequence, the one-plan replay equals a per-block
+    # gp_refactor_reference chain, and the plan compiles once.
+    from repro.xyce import matrix_sequence, xyce1_analog
+
+    seq = list(matrix_sequence(xyce1_analog(), n_matrices=4))
+    num = basker.factor(seq[0])
+    nb = num.symbolic.n_blocks
+    splits = num.symbolic.block_splits
+    ref = [num.block_factors(k) for k in range(nb)]
+    tr = Tracer()
+    with tracing(tr):
+        for A in seq[1:]:
+            num = basker.refactor_fast(A, num)
+            M = A.permute(num.row_perm, num.col_perm)
+            total = CostLedger()
+            total.mem_words += A.nnz
+            for k in range(nb):
+                lo, hi = int(splits[k]), int(splits[k + 1])
+                led = CostLedger()
+                L, U = ref[k]
+                fixed = GPResult(L, U, np.arange(hi - lo, dtype=np.int64), led)
+                lu = gp_refactor_reference(M.submatrix(lo, hi, lo, hi), fixed, ledger=led)
+                ref[k] = (lu.L, lu.U)
+                Lv, Uv = num.block_factors(k)
+                assert np.allclose(Lv.data, lu.L.data, rtol=0, atol=1e-10)
+                assert np.allclose(Uv.data, lu.U.data, rtol=0, atol=1e-10)
+                vled = (num.fine_lu[k] if k in num.fine_lu else num.nd_numeric[k]).ledger
+                assert_ledgers_equal(vled, led, "basker block")
+                total.add(led)
+            assert_ledgers_equal(num.ledger, total, "basker total")
+    assert tr.metrics.counter("basker.refactor.fallback") == 0
+    assert tr.metrics.counter("basker.refactor.schedule.miss") == 1
+    assert tr.metrics.counter("basker.refactor.schedule.hit") == len(seq) - 2
+    assert num.refactor_cache.replay is not None
+
 
 def test_supernodal_refactor_fast_residuals():
     seq = _sequence(60, 0.1, 3, seed=17)

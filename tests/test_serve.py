@@ -326,6 +326,27 @@ class TestPatternCache:
         assert sym.dense_plans is None
         assert sym.generation == 1
 
+    @pytest.mark.parametrize("solver", ["basker", "pardiso"])
+    def test_invalidate_releases_replay_state(self, solver):
+        from repro.interface import DirectSolver
+        from repro.obs import Tracer, tracing
+
+        A = small_matrix(seed=3, n=40)
+        B = CSC(A.n_rows, A.n_cols, A.indptr, A.indices, A.data * 1.01)
+        ds = DirectSolver(solver)
+        ds.numeric_factorization(A)
+        ds.solve(np.ones(A.n_rows))      # compiles the solve schedules
+        ds.numeric_factorization(B)      # refactor_fast: plan + adopted schedules
+        assert ds._numeric.refactor_cache is not None
+        cache = PatternCache(capacity=2)
+        lease, _ = cache.borrow("k1", lambda: (ds, CostLedger()))
+        cache.release(lease)
+        tr = Tracer()
+        with tracing(tr):
+            assert cache.invalidate("k1")
+        assert ds._numeric.refactor_cache is None
+        assert tr.metrics.counter("schedule.tri.evictions") > 0
+
 
 # ----------------------------------------------------------------------
 # circuit breaker
