@@ -9,8 +9,10 @@ classic level-scheduled parallel triangular solve:
 * rows are grouped into *levels* — row ``i``'s level is one more than
   the deepest level among the rows its off-diagonal entries reference —
   so all rows in one level are independent;
-* numerically the solve sweeps level by level (row-oriented kernels on
-  the transposed factor);
+* numerically the solve is the replay of the factor's compiled
+  :class:`~repro.sparse.schedule.TriangularSchedule` (the one the serial
+  :func:`~repro.sparse.ops.lower_solve` / ``upper_solve`` run), so the
+  answer is bit-identical to theirs;
 * for the performance model, each level is split into per-thread row
   chunks whose dependency edges are *sparsified*: a chunk depends only
   on the previous-level chunks that actually produced one of its
@@ -25,46 +27,40 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-# effects: blocks x=x
-
+from ..errors import StructureError
 from ..parallel.ledger import CostLedger
 from ..parallel.machine import MachineModel
 from ..parallel.sim import Schedule, SimTask, simulate
 from ..sparse.csc import CSC
-from ..sparse.schedule import triangular_schedule
+from ..sparse.schedule import TriangularSchedule, triangular_schedule
 
 __all__ = ["TriangularLevels", "level_schedule", "parallel_lower_solve", "parallel_upper_solve"]
 
 
 @dataclass
 class TriangularLevels:
-    """Level sets of a triangular factor.
+    """Level sets of a triangular factor, a view over its compiled
+    :class:`~repro.sparse.schedule.TriangularSchedule`: ``levels[k]``
+    holds the row indices solvable at step ``k``."""
 
-    ``levels[k]`` holds the row indices solvable at step ``k``; ``Rp``,
-    ``Ri``, ``Rx`` is the factor in row-major (CSR) form used by the
-    row-oriented numeric sweep.
-    """
-
-    levels: List[np.ndarray]
-    Rp: np.ndarray
-    Ri: np.ndarray
-    Rx: np.ndarray
+    schedule: TriangularSchedule
     lower: bool
 
     @property
+    def levels(self) -> List[np.ndarray]:
+        return [lv.cols for lv in self.schedule.levels]
+
+    @property
     def n_levels(self) -> int:
-        return len(self.levels)
+        return self.schedule.n_levels
 
     @property
     def max_parallelism(self) -> float:
-        if not self.levels:
-            return 1.0
-        return max(lv.size for lv in self.levels)
+        return max((lv.cols.size for lv in self.schedule.levels), default=1.0)
 
     @property
     def average_parallelism(self) -> float:
-        n = sum(lv.size for lv in self.levels)
-        return n / max(self.n_levels, 1)
+        return self.schedule.n / max(self.n_levels, 1)
 
 
 def level_schedule(T: CSC, lower: bool = True) -> TriangularLevels:
@@ -73,86 +69,72 @@ def level_schedule(T: CSC, lower: bool = True) -> TriangularLevels:
     Row ``i``'s level is one more than the deepest level among the rows
     its off-diagonal entries reference — exactly the column levels of
     the compiled :class:`~repro.sparse.schedule.TriangularSchedule`
-    that the dense-RHS solves replay, so the levels are taken from that
-    (cached) schedule and the simulator times the plan the solves run.
+    that the dense-RHS solves replay, so the levels are that (cached)
+    schedule's and the simulator times the plan the solves run.
     """
-    sched = triangular_schedule(T, "lower" if lower else "upper")
-    R = T.transpose()  # rows of T as columns of R
-    levels = [lv.cols for lv in sched.levels]
-    return TriangularLevels(levels=levels, Rp=R.indptr, Ri=R.indices, Rx=R.data, lower=lower)
+    return TriangularLevels(triangular_schedule(T, "lower" if lower else "upper"), lower)
+
+
+def _level_tasks(T: CSC, tl: TriangularLevels, n_threads: int) -> List[SimTask]:
+    """The modeled DAG: each level split into per-thread row chunks that
+    cost one sparse flop per entry and one column per row, and wait for
+    the chunks producing their off-diagonal operands (``T[i, j]`` off
+    the diagonal makes row ``i``'s chunk wait for row ``j``'s)."""
+    n, levels = T.n_cols, tl.levels
+    chunks = [np.array_split(rows, min(n_threads, rows.size)) for rows in levels]
+    sizes = np.array([c.size for lv_chunks in chunks for c in lv_chunks], dtype=np.int64)
+    n_tasks = sizes.size
+    if n_tasks == 0:
+        return []
+    order = np.concatenate(levels)
+    task_of = np.empty(n, dtype=np.int64)
+    task_of[order] = np.repeat(np.arange(n_tasks), sizes)
+    row_entries = np.bincount(T.indices, minlength=n)[order]
+    flops = np.add.reduceat(row_entries, np.cumsum(sizes) - sizes)
+
+    col_of = np.repeat(np.arange(n), np.diff(T.indptr))
+    off = T.indices > col_of if tl.lower else T.indices < col_of
+    pairs = np.unique(task_of[T.indices[off]] * n_tasks + task_of[col_of[off]])
+    consumer, producer = np.divmod(pairs, n_tasks)
+    dep_ptr = np.searchsorted(consumer, np.arange(n_tasks + 1))
+
+    tasks: List[SimTask] = []
+    task_keys: List[Tuple[int, int]] = []  # task id -> (level, chunk)
+    for lv, lv_chunks in enumerate(chunks):
+        for ci, chunk in enumerate(lv_chunks):
+            tid = len(tasks)
+            deps = producer[dep_ptr[tid] : dep_ptr[tid + 1]].tolist()
+            # Declared effect sets: this chunk finalizes its own x rows
+            # and reads exactly the chunks it synchronizes with — the
+            # hazard checker then proves the sparsified point-to-point
+            # edges sufficient.
+            tasks.append(
+                SimTask(
+                    tid=tid,
+                    ledger=CostLedger(sparse_flops=float(flops[tid]), columns=float(chunk.size)),
+                    deps=deps,
+                    thread=ci,
+                    p2p_syncs=len(deps),
+                    label=f"lv{lv}/c{ci}",
+                    reads=[("x",) + task_keys[t] for t in deps],
+                    writes=[("x", lv, ci)],
+                )
+            )
+            task_keys.append((lv, ci))
+    return tasks
 
 
 def _solve_with_levels(
-    tl: TriangularLevels,
-    b: np.ndarray,
-    unit_diag: bool,
-    n_threads: int,
-    machine: Optional[MachineModel],
+    T: CSC, b: np.ndarray, lower: bool, unit_diag: bool, n_threads: int,
+    machine: Optional[MachineModel], levels: Optional[TriangularLevels],
 ) -> Tuple[np.ndarray, Optional[Schedule]]:
-    n = b.size
-    x = np.array(b, dtype=np.float64, copy=True)
-    Rp, Ri, Rx = tl.Rp, tl.Ri, tl.Rx
-
-    tasks: List[SimTask] = []
-    prev_chunk_of = np.full(n, -1, dtype=np.int64)  # row -> producing task id
-    task_keys: List[Tuple[int, int]] = []  # task id -> (level, chunk)
-    make_tasks = machine is not None
-
-    for lv, rows in enumerate(tl.levels):
-        # Static chunking of the level across threads.
-        chunks = np.array_split(rows, min(n_threads, max(rows.size, 1)))
-        for ci, chunk in enumerate(chunks):
-            if chunk.size == 0:
-                continue
-            led = CostLedger()
-            dep_tasks = set()
-            for i in chunk:
-                i = int(i)
-                lo, hi = int(Rp[i]), int(Rp[i + 1])
-                acc = x[i]
-                diag = 1.0
-                for p in range(lo, hi):
-                    j = int(Ri[p])
-                    if j == i:
-                        diag = Rx[p]
-                        continue
-                    off = (j < i) if tl.lower else (j > i)
-                    if off:
-                        acc -= Rx[p] * x[j]
-                        if make_tasks and prev_chunk_of[j] >= 0:
-                            dep_tasks.add(int(prev_chunk_of[j]))
-                led.sparse_flops += hi - lo
-                led.columns += 1
-                if unit_diag:
-                    x[i] = acc
-                else:
-                    if diag == 0.0:
-                        raise ZeroDivisionError(f"zero diagonal at row {i}")
-                    x[i] = acc / diag
-            if make_tasks:
-                tid = len(tasks)
-                deps = sorted(dep_tasks)
-                # Declared effect sets: this chunk finalizes its own x
-                # rows and reads exactly the chunks it synchronizes
-                # with — the hazard checker then proves the sparsified
-                # point-to-point edges sufficient.
-                tasks.append(
-                    SimTask(
-                        tid=tid,
-                        ledger=led,
-                        deps=deps,
-                        thread=ci % n_threads,
-                        p2p_syncs=len(deps),
-                        label=f"lv{lv}/c{ci}",
-                        reads=[("x",) + task_keys[t] for t in deps],
-                        writes=[("x", lv, ci)],
-                    )
-                )
-                task_keys.append((lv, ci))
-                prev_chunk_of[chunk] = tid
-
-    sched = simulate(tasks, machine, n_threads) if make_tasks else None
-    return x, sched
+    if T.n_rows != T.n_cols or b.shape != (T.n_cols,):
+        raise StructureError("dimension mismatch")
+    tl = levels if levels is not None else level_schedule(T, lower=lower)
+    x = tl.schedule.solve(T, b, unit_diag=unit_diag)
+    if machine is None:
+        return x, None
+    return x, simulate(_level_tasks(T, tl, n_threads), machine, n_threads)
 
 
 def parallel_lower_solve(
@@ -167,12 +149,11 @@ def parallel_lower_solve(
 
     Returns ``(x, schedule)``; the schedule is None unless a machine
     model is supplied.  ``levels`` may be precomputed (the pattern is
-    fixed across a refactorization sequence).
+    fixed across a refactorization sequence).  A missing or zero
+    diagonal (``unit_diag=False``) raises the serial solve's
+    :class:`~repro.errors.ZeroPivotError`.
     """
-    if L.n_rows != L.n_cols or b.shape != (L.n_cols,):
-        raise ValueError("dimension mismatch")
-    tl = levels if levels is not None else level_schedule(L, lower=True)
-    return _solve_with_levels(tl, b, unit_diag, n_threads, machine)
+    return _solve_with_levels(L, b, True, unit_diag, n_threads, machine, levels)
 
 
 def parallel_upper_solve(
@@ -183,7 +164,4 @@ def parallel_upper_solve(
     levels: Optional[TriangularLevels] = None,
 ) -> Tuple[np.ndarray, Optional[Schedule]]:
     """Level-scheduled solve of ``U x = b`` (non-unit diagonal)."""
-    if U.n_rows != U.n_cols or b.shape != (U.n_cols,):
-        raise ValueError("dimension mismatch")
-    tl = levels if levels is not None else level_schedule(U, lower=False)
-    return _solve_with_levels(tl, b, unit_diag=False, n_threads=n_threads, machine=machine)
+    return _solve_with_levels(U, b, False, False, n_threads, machine, levels)

@@ -18,6 +18,7 @@ from ..errors import RefinementDivergedError, StructureError
 from ..sparse.csc import CSC
 from ..sparse.ops import unit_lower_solve_T, upper_solve_T
 from ..sparse.verify import validate_rhs
+from .triangular import above_block_entries
 
 __all__ = [
     "solve_multi",
@@ -39,11 +40,11 @@ def _blocked_view(numeric) -> Tuple[np.ndarray, List[Tuple[CSC, CSC]], CSC, np.n
         splits = numeric.symbolic.block_splits
         blocks = [numeric.block_factors(k) for k in range(len(splits) - 1)]
         return splits, blocks, numeric.M, numeric.row_perm, numeric.col_perm
-    # SupernodalNumeric: one block covering the whole matrix.
+    # SupernodalNumeric: one block covering the whole matrix, so no
+    # entries above it.
     n = numeric.L.n_rows
     splits = np.array([0, n], dtype=np.int64)
-    M = None  # not needed: single block has no off-diagonal coupling
-    return splits, [(numeric.L, numeric.U)], M, numeric.row_perm, numeric.col_perm
+    return splits, [(numeric.L, numeric.U)], CSC.empty(n, n), numeric.row_perm, numeric.col_perm
 
 
 def solve_transpose(numeric, b: np.ndarray) -> np.ndarray:
@@ -61,18 +62,16 @@ def solve_transpose(numeric, b: np.ndarray) -> np.ndarray:
         raise StructureError("right-hand side has wrong length")
     c = b[col_perm].copy()
     z = np.zeros(n, dtype=np.float64)
+    rows, cols, vals, bounds = above_block_entries(M, splits)
     for k in range(len(blocks)):
         lo, hi = int(splits[k]), int(splits[k + 1])
         if hi == lo:
             continue
-        if M is not None and lo > 0:
+        first, last = bounds[k], bounds[k + 1]
+        if first < last:
             # (M.T z)_i for i in block k picks up M[r, i] z[r] for rows
             # r in earlier blocks (M is block upper triangular).
-            for i in range(lo, hi):
-                rows, vals = M.col(i)
-                cut = int(np.searchsorted(rows, lo))
-                if cut:
-                    c[i] -= float(vals[:cut] @ z[rows[:cut]])
+            np.subtract.at(c, cols[first:last], vals[first:last] * z[rows[first:last]])
         L, U = blocks[k]
         w = upper_solve_T(U, c[lo:hi])
         z[lo:hi] = unit_lower_solve_T(L, w)

@@ -43,7 +43,7 @@ from ..parallel.machine import MachineModel
 from ..parallel.sim import Schedule, SimTask, simulate
 from ..sparse.csc import CSC
 from ..sparse.schedule import ReplayPlan, ScheduleCompileError
-from .triangular import lu_solve_factors
+from .triangular import lu_solve
 
 # effects: blocks F=F G=G
 # effects: emitter new_task
@@ -563,11 +563,7 @@ class SupernodalLU:
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (numeric.symbolic.n,):
             raise StructureError("right-hand side has wrong length")
-        c = b[numeric.row_perm]
-        z = lu_solve_factors(numeric.L, numeric.U, c)
-        x = np.empty_like(z)
-        x[numeric.col_perm] = z
-        return x
+        return lu_solve(numeric.L, numeric.U, numeric.row_perm, numeric.col_perm, b)
 
 
 def slu_mt(fill_cap: Optional[float] = 60.0) -> SupernodalLU:

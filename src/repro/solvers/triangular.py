@@ -17,7 +17,7 @@ from ..parallel.ledger import CostLedger
 from ..sparse.csc import CSC
 from ..sparse.ops import lower_solve, upper_solve
 
-__all__ = ["lu_solve", "lu_solve_factors", "btf_solve"]
+__all__ = ["lu_solve", "lu_solve_factors", "btf_solve", "above_block_entries"]
 
 
 @domains(L="matrix[S]", U="matrix[S]", b_perm="vec[S]", returns="vec[S]")
@@ -59,6 +59,18 @@ def lu_solve(
     return x
 
 
+@shapes(M="csc[n,n]")
+def above_block_entries(M: CSC, splits: np.ndarray) -> tuple:
+    """``(rows, cols, vals, bounds)`` of the entries of the block upper
+    triangular ``M`` above its diagonal blocks, column-major; block
+    ``k``'s columns hold entries ``bounds[k]:bounds[k + 1]``."""
+    col_of = np.repeat(np.arange(M.n_cols), np.diff(M.indptr))
+    block_lo = splits[np.searchsorted(splits, col_of, side="right") - 1]
+    above = np.flatnonzero(M.indices < block_lo)
+    cols = col_of[above]
+    return M.indices[above], cols, M.data[above], np.searchsorted(cols, splits)
+
+
 @domains(b="vec[global]", returns="vec[global]")
 @shapes(returns="f8[n]")
 def btf_solve(numeric, b: np.ndarray) -> np.ndarray:
@@ -82,12 +94,7 @@ def btf_solve(numeric, b: np.ndarray) -> np.ndarray:
         if scale is not None:
             b = b * scale  # solve (R A) x = R b
         c = b[numeric.row_perm]
-        M = numeric.M
-        col_of = np.repeat(np.arange(n), np.diff(M.indptr))
-        block_lo = splits[np.searchsorted(splits, col_of, side="right") - 1]
-        above = np.flatnonzero(M.indices < block_lo)
-        rows, cols, vals = M.indices[above], col_of[above], M.data[above]
-        bounds = np.searchsorted(cols, splits)
+        rows, cols, vals, bounds = above_block_entries(numeric.M, splits)
         z = np.zeros(n, dtype=np.float64)
         for k in range(splits.size - 2, -1, -1):
             lo, hi = int(splits[k]), int(splits[k + 1])

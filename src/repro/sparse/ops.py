@@ -117,36 +117,18 @@ def upper_solve_reference(U: CSC, b: np.ndarray) -> np.ndarray:
 def unit_lower_solve_T(L: CSC, b: np.ndarray) -> np.ndarray:
     """Solve ``L.T x = b`` with unit-diagonal lower-triangular L (CSC).
 
-    Columns of L are rows of L.T, so this is a backward sweep of dot
-    products — no transpose materialization needed.
+    Columns of L are rows of L.T, so this replays the forward solve's
+    cached schedule backward as dot products — no transpose needed.
     """
-    n = L.n_cols
-    x = np.array(b, dtype=np.float64, copy=True)
-    for j in range(n - 1, -1, -1):
-        rows, vals = L.col(j)
-        k = np.searchsorted(rows, j)
-        has_diag = k < rows.size and rows[k] == j
-        start = k + 1 if has_diag else k
-        if start < rows.size:
-            x[j] -= float(vals[start:] @ x[rows[start:]])
-    return x
+    return triangular_schedule(L, "lower").solve_transpose(L, b, unit_diag=True)
 
 
 @domains(U="matrix[S]", b="vec[S]", returns="vec[S]")
 @shapes(U="csc[n,n]", b="f8[n]", returns="f8[n]")
 def upper_solve_T(U: CSC, b: np.ndarray) -> np.ndarray:
-    """Solve ``U.T x = b`` with upper-triangular U (CSC), forward sweep."""
-    n = U.n_cols
-    x = np.array(b, dtype=np.float64, copy=True)
-    for j in range(n):
-        rows, vals = U.col(j)
-        k = np.searchsorted(rows, j)
-        if k >= rows.size or rows[k] != j or vals[k] == 0.0:
-            raise ZeroPivotError(f"zero diagonal at column {j}", column=j)
-        if k > 0:
-            x[j] -= float(vals[:k] @ x[rows[:k]])
-        x[j] /= vals[k]
-    return x
+    """Solve ``U.T x = b`` with upper-triangular U (CSC): the backward
+    solve's cached schedule replayed in reverse, a forward sweep."""
+    return triangular_schedule(U, "upper").solve_transpose(U, b, unit_diag=False)
 
 
 @shapes(A="csc[m,k]", B="csc[k,p]", returns="csc[m,p]")

@@ -11,9 +11,12 @@ one level per vector operation batch).
 
 Two compiled objects are produced:
 
-* :class:`TriangularSchedule` — levels of a triangular matrix for the
-  dense-RHS solves :func:`~repro.sparse.ops.lower_solve` /
-  :func:`~repro.sparse.ops.upper_solve`.  Cached on the
+* :class:`TriangularSchedule` — levels of a triangular matrix behind
+  every triangular sweep: the dense-RHS solves ``lower_solve`` /
+  ``upper_solve``, their transposes ``unit_lower_solve_T`` /
+  ``upper_solve_T`` (the levels in reverse, as ``solve_transpose`` and
+  ``condest`` use them) and the simulated parallel solve of
+  :mod:`repro.core.parsolve`.  Cached on the
   :class:`~repro.sparse.csc.CSC` object itself (patterns are immutable
   by convention), so repeated solves against the same factor compile
   once.
@@ -163,25 +166,12 @@ class TriangularSchedule:
     @shapes(M="csc[n,n]", b="f8[n]", returns="f8[n]")
     def solve(self, M: CSC, b: np.ndarray, unit_diag: bool = False) -> np.ndarray:
         """Replay the schedule: solve ``M x = b`` level by level."""
-        n = self.n
         x = np.array(b, dtype=np.float64, copy=True)
-        if x.shape != (n,):
+        if x.shape != (self.n,):
             raise StructureError("dimension mismatch")
-        data = M.data
-        use_diag = not unit_diag
+        data, use_diag = M.data, not unit_diag
         if use_diag:
-            # Validate every diagonal up front, reporting the column the
-            # reference sweep would have hit first.
-            missing = self.diag_idx < 0
-            dvals = np.zeros(n, dtype=np.float64)
-            dvals[~missing] = data[self.diag_idx[~missing]]
-            bad = missing | (dvals == 0.0)
-            if np.any(bad):
-                which = np.flatnonzero(bad)
-                j = int(which.max() if self.kind == "upper" else which.min())
-                if self.kind == "lower" and self.col_empty[j]:
-                    raise ZeroPivotError(f"empty column {j} in lower solve", column=j)
-                raise ZeroPivotError(f"zero diagonal at column {j}", column=j)
+            self._check_diagonal(data, descending=self.kind == "upper")
         for lv in self.levels:
             scalars = lv.scalar_cols
             if scalars is not None:
@@ -199,6 +189,50 @@ class TriangularSchedule:
                 prods = data[lv.ent_val_idx] * xj
                 x[lv.seg_tgt] -= np.add.reduceat(prods[lv.ent_order], lv.seg_starts)
         return x
+
+    @shapes(M="csc[n,n]", b="f8[n]", returns="f8[n]")
+    def solve_transpose(self, M: CSC, b: np.ndarray, unit_diag: bool = False) -> np.ndarray:
+        """Solve ``M.T x = b`` by replaying the levels in reverse order:
+        column ``j`` of ``M`` is row ``j`` of ``M.T`` and reads only rows
+        at deeper levels, so it is one gather and dot product."""
+        x = np.array(b, dtype=np.float64, copy=True)
+        if x.shape != (self.n,):
+            raise StructureError("dimension mismatch")
+        data, indices, use_diag = M.data, M.indices, not unit_diag
+        if use_diag:
+            self._check_diagonal(data, descending=self.kind == "lower")
+        for lv in reversed(self.levels):
+            scalars = lv.scalar_cols
+            if scalars is not None:
+                for j, dj, lo, hi, rows in scalars:
+                    if lo != hi:
+                        x[j] -= data[lo:hi] @ x[rows]
+                    if use_diag:
+                        x[j] /= data[dj]
+                continue
+            if lv.ent_val_idx.size:
+                has = lv.counts > 0
+                starts = (np.cumsum(lv.counts) - lv.counts)[has]
+                prods = data[lv.ent_val_idx] * x[indices[lv.ent_val_idx]]
+                x[lv.cols[has]] -= np.add.reduceat(prods, starts)
+            if use_diag:
+                x[lv.cols] /= data[lv.diag_idx]
+        return x
+
+    def _check_diagonal(self, data: np.ndarray, descending: bool) -> None:
+        """Validate every diagonal up front: raise the
+        :class:`~repro.errors.ZeroPivotError` a column-by-column sweep
+        (ascending or descending) would have hit first."""
+        diag = self.diag_idx
+        if diag.min(initial=0) >= 0 and data[diag].all():
+            return
+        bad = diag < 0
+        bad[~bad] = data[diag[~bad]] == 0.0
+        which = np.flatnonzero(bad)
+        j = int(which.max() if descending else which.min())
+        if self.kind == "lower" and self.col_empty[j]:
+            raise ZeroPivotError(f"empty column {j} in lower solve", column=j)
+        raise ZeroPivotError(f"zero diagonal at column {j}", column=j)
 
 
 @shapes(M="csc[n,n]")

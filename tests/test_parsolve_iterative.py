@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.parsolve import level_schedule, parallel_lower_solve, parallel_upper_solve
+from repro.errors import StructureError, ZeroPivotError
 from repro.iterative import ILU0Preconditioner, gmres, ilu0
 from repro.parallel import SANDY_BRIDGE
+from repro.parallel.ledger import CostLedger
+from repro.parallel.sim import SimTask, simulate
 from repro.solvers import KLU, gp_factor
 from repro.sparse import CSC, solve_residual
 from repro.sparse.ops import lower_solve, upper_solve
@@ -67,14 +70,44 @@ def _row_levels_reference(T, lower):
     return [np.flatnonzero(level == k) for k in range(int(level.max(initial=-1)) + 1)]
 
 
+def _row_tasks_reference(T, lower, levels, n_threads):
+    """The modeled task DAG straight from the row definition: each level
+    split into per-thread row chunks; a chunk costs every entry of its
+    rows and waits for the chunks producing its off-diagonal operands."""
+    R = T.transpose()
+    producer = np.full(T.n_cols, -1, dtype=np.int64)
+    tasks, keys = [], []
+    for lv, rows in enumerate(levels):
+        for ci, chunk in enumerate(np.array_split(rows, min(n_threads, rows.size))):
+            led, deps = CostLedger(), set()
+            for i in chunk:
+                cols, _ = R.col(int(i))
+                off = cols[cols < i] if lower else cols[cols > i]
+                deps.update(int(producer[j]) for j in off)
+                led.sparse_flops += cols.size
+                led.columns += 1
+            deps = sorted(deps)
+            tasks.append(SimTask(
+                tid=len(tasks), ledger=led, deps=deps, thread=ci,
+                p2p_syncs=len(deps), label=f"lv{lv}/c{ci}",
+                reads=[("x",) + keys[t] for t in deps], writes=[("x", lv, ci)],
+            ))
+            keys.append((lv, ci))
+            producer[chunk] = len(tasks) - 1
+    return tasks
+
+
 @pytest.mark.parametrize("name", ["memplus", "Power0*+", "Xyce0*", "circuit_4"])
 def test_simulated_levels_are_the_replayed_levels(name):
     """The levels the simulator times are the levels the compiled
-    triangular-solve schedule replays, and both match the definition."""
+    triangular-solve schedule replays, and both match the definition;
+    the modeled DAG over them matches the row-definition reference and
+    the parallel solve's answer is the serial solve's, bit for bit."""
     from repro.matrices import get_matrix
     from repro.sparse.schedule import compile_triangular_schedule
 
     lu = gp_factor(get_matrix(name))
+    b = np.random.default_rng(0).standard_normal(lu.L.n_rows)
     for T, lower, kind in ((lu.L, True, "lower"), (lu.U, False, "upper")):
         simulated = level_schedule(T, lower=lower).levels
         replayed = [lv.cols for lv in compile_triangular_schedule(T, kind).levels]
@@ -83,6 +116,20 @@ def test_simulated_levels_are_the_replayed_levels(name):
         for s, r, d in zip(simulated, replayed, reference):
             assert np.array_equal(s, r)
             assert np.array_equal(s, d)
+
+        solve = parallel_lower_solve if lower else parallel_upper_solve
+        serial = lower_solve(T, b) if lower else upper_solve(T, b)
+        for p in (1, 4, 16):
+            x, sched = solve(T, b, n_threads=p, machine=SANDY_BRIDGE)
+            assert np.array_equal(x, serial)
+            ref = _row_tasks_reference(T, lower, reference, p)
+            assert len(sched.tasks) == len(ref)
+            for t, r in zip(sched.tasks, ref):
+                assert (t.tid, list(t.deps), t.thread, t.p2p_syncs, t.label) == (
+                    r.tid, r.deps, r.thread, r.p2p_syncs, r.label)
+                assert list(t.reads) == r.reads and list(t.writes) == r.writes
+                assert t.ledger == r.ledger
+            assert sched.makespan == simulate(ref, SANDY_BRIDGE, p).makespan
 
 
 class TestParallelTriangularSolve:
@@ -135,6 +182,35 @@ class TestParallelTriangularSolve:
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             parallel_lower_solve(CSC.identity(3), np.zeros(4))
+
+    def test_dimension_check_is_typed(self):
+        with pytest.raises(StructureError):
+            parallel_upper_solve(CSC.identity(3), np.zeros(4))
+
+    def test_unstored_upper_diagonal_raises(self):
+        """U[1, 1] is not stored: the serial solve's ZeroPivotError for
+        column 1, not an answer that treats the diagonal as 1."""
+        U = CSC.from_coo([0, 0, 1, 2], [0, 1, 2, 2], [2.0, 1.0, 3.0, 4.0], (3, 3))
+        with pytest.raises(ZeroPivotError) as serial:
+            upper_solve(U, np.ones(3))
+        for machine in (None, SANDY_BRIDGE):
+            with pytest.raises(ZeroPivotError) as par:
+                parallel_upper_solve(U, np.ones(3), n_threads=4, machine=machine)
+            assert par.value.column == serial.value.column == 1
+
+    def test_unstored_lower_diagonal_raises(self):
+        L = CSC.from_coo([0], [0], [1.0], (2, 2))
+        with pytest.raises(ZeroPivotError) as serial:
+            lower_solve(L, np.ones(2), unit_diag=False)
+        with pytest.raises(ZeroPivotError) as par:
+            parallel_lower_solve(L, np.ones(2), unit_diag=False)
+        assert par.value.column == serial.value.column == 1
+        assert np.array_equal(parallel_lower_solve(L, np.ones(2))[0], [1.0, 1.0])
+
+    def test_zero_diagonal_is_typed(self):
+        U = CSC.from_dense(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ZeroPivotError):
+            parallel_upper_solve(U, np.ones(2))
 
 
 class TestILU0:

@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import Basker
+from repro.errors import ZeroPivotError
+from repro.matrices import get_matrix
+from repro.solvers import KLU, gp_factor
+from repro.solvers.extras import solve_transpose
 from repro.sparse import CSC, matmat
 from repro.sparse.ops import (
     lower_solve,
@@ -13,6 +18,8 @@ from repro.sparse.ops import (
 )
 
 from .helpers import random_sparse
+
+SUITE_FOUR = ["memplus", "Power0*+", "Xyce0*", "circuit_4"]
 
 
 def _random_unit_lower(n, rng, density=0.3):
@@ -67,6 +74,37 @@ class TestTriangularSolves:
         b = rng.standard_normal(9)
         assert np.allclose(unit_lower_solve_T(L, b), np.linalg.solve(dl.T, b))
         assert np.allclose(upper_solve_T(U, b), np.linalg.solve(du.T, b))
+
+    @pytest.mark.parametrize("name", SUITE_FOUR)
+    def test_transposed_solves_on_suite_factors(self, name):
+        lu = gp_factor(get_matrix(name))
+        b = np.random.default_rng(5).standard_normal(lu.L.n_rows)
+        dl, du = lu.L.to_dense(), lu.U.to_dense()
+        np.fill_diagonal(dl, 1.0)
+        assert np.allclose(unit_lower_solve_T(lu.L, b), np.linalg.solve(dl.T, b))
+        assert np.allclose(upper_solve_T(lu.U, b), np.linalg.solve(du.T, b))
+
+    def test_upper_solve_T_reports_lowest_zero_diagonal(self):
+        """The transposed upper solve sweeps forward, so it reports the
+        lowest bad column; the forward upper solve reports the highest."""
+        d = np.triu(np.ones((5, 5)))
+        d[1, 1] = d[3, 3] = 0.0
+        U = CSC.from_dense(d)
+        with pytest.raises(ZeroPivotError) as exc:
+            upper_solve_T(U, np.ones(5))
+        assert exc.value.column == 1
+        with pytest.raises(ZeroPivotError) as exc:
+            upper_solve(U, np.ones(5))
+        assert exc.value.column == 3
+
+    @pytest.mark.parametrize("name", SUITE_FOUR)
+    def test_solve_transpose_on_suite(self, name):
+        A = get_matrix(name)
+        b = np.random.default_rng(6).standard_normal(A.n_rows)
+        x_ref = np.linalg.solve(A.to_dense().T, b)
+        for solver in (KLU(), KLU(scale="max"), Basker(n_threads=4)):
+            x = solve_transpose(solver.factor(A), b)
+            assert np.allclose(x, x_ref, rtol=1e-8, atol=1e-10)
 
 
 class TestMatmat:
