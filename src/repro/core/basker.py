@@ -151,14 +151,6 @@ class BaskerNumeric:
         nd = self.nd_numeric[b]
         return nd.L, nd.U
 
-    def invalidate_caches(self) -> int:
-        """Eviction hook: drop the replay plan and the compiled
-        triangular solve schedules on the factors and ``M``.  Returns
-        the number of compiled solve schedules released."""
-        factors = [m for k in range(self.symbolic.n_blocks)
-                   for m in self.block_factors(k)]
-        return ReplayPlan.release(self, [self.M] + factors)
-
 
 class Basker:
     """Threaded sparse LU via hierarchical parallelism and 2-D layouts."""

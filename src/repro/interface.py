@@ -66,36 +66,39 @@ class DirectSolver:
         self._symbolic = None
         self._numeric = None
         self._n = None
-        self._pattern = None  # (indptr, indices) of the factored matrix
+        self._pattern = None  # (indptr, indices) of the analyzed matrix
 
     # ------------------------------------------------------------------
     def symbolic_factorization(self, A: CSC) -> "DirectSolver":
         self._symbolic = self._impl.analyze(A)
         self._n = A.n_rows
         self._numeric = None
-        self._pattern = None
+        self._pattern = (A.indptr, A.indices)
         return self
+
+    def _analyze_new_pattern(self, A: CSC) -> None:
+        """Run :meth:`symbolic_factorization` unless ``A`` has the
+        analyzed pattern (which drops the numeric factorization too)."""
+        if self._pattern is None or not all(
+            new is old or np.array_equal(new, old)
+            for new, old in zip((A.indptr, A.indices), self._pattern)
+        ):
+            self.symbolic_factorization(A)
 
     def numeric_factorization(self, A: CSC) -> "DirectSolver":
         """Factor (or refactor when the pattern was already analyzed).
 
-        When a prior numeric factorization exists and ``A`` has exactly
-        the same pattern, the solver's values-only ``refactor_fast``
-        path is taken (fixed pivot order, compiled elimination
-        schedule).  If a reused pivot degenerates
-        (:class:`~repro.errors.SingularMatrixError`), the call falls
-        back to a full numeric factorization with fresh pivoting — the
-        standard klu_refactor/klu_factor usage pattern.
+        A pattern other than the analyzed one is re-analyzed first.
+        When a prior numeric factorization of the analyzed pattern
+        exists, the solver's values-only ``refactor_fast`` path is taken
+        (fixed pivot order, compiled elimination schedule).  If a reused
+        pivot degenerates (:class:`~repro.errors.SingularMatrixError`),
+        the call falls back to a full numeric factorization with fresh
+        pivoting — the standard klu_refactor/klu_factor usage pattern.
         """
-        if self._symbolic is None:
-            self.symbolic_factorization(A)
+        self._analyze_new_pattern(A)
         prior = self._numeric
-        if (
-            prior is not None
-            and self._pattern is not None
-            and np.array_equal(A.indptr, self._pattern[0])
-            and np.array_equal(A.indices, self._pattern[1])
-        ):
+        if prior is not None:
             try:
                 self._numeric = self._impl.refactor_fast(A, prior)
                 return self
@@ -103,7 +106,6 @@ class DirectSolver:
                 # fresh pivoting below
                 get_tracer().metrics.incr("solver.singular_fallback")
         self._numeric = self._impl.factor(A, symbolic=self._symbolic)
-        self._pattern = (A.indptr, A.indices)
         return self
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -139,8 +141,9 @@ class DirectSolver:
         """Solve through the recovery ladder (see
         :func:`repro.resilience.recovery.run_ladder`).
 
+        A pattern other than the analyzed one is re-analyzed first.
         Starts from the cheap values-only replay when a prior numeric
-        factorization with the same pattern exists, escalating to full
+        factorization of the analyzed pattern exists, escalating to full
         refactorization, strict re-pivoting, static perturbation +
         refinement, and finally a dense LU — each candidate verified by
         its componentwise backward error before acceptance.  Returns
@@ -152,15 +155,7 @@ class DirectSolver:
         """
         from .resilience.recovery import run_ladder
 
-        if self._symbolic is None:
-            self.symbolic_factorization(A)
-        prior = self._numeric
-        if prior is not None and not (
-            self._pattern is not None
-            and np.array_equal(A.indptr, self._pattern[0])
-            and np.array_equal(A.indices, self._pattern[1])
-        ):
-            prior = None  # pattern changed: the replay rung cannot apply
+        self._analyze_new_pattern(A)
 
         def make_variant(**overrides):
             return _REGISTRY[self.name]({**self.options, **overrides})
@@ -170,7 +165,7 @@ class DirectSolver:
             A,
             b,
             symbolic=self._symbolic,
-            prior=prior,
+            prior=self._numeric,
             make_variant=make_variant,
             tol=tol,
             refine_steps=refine_steps,
@@ -179,7 +174,6 @@ class DirectSolver:
         )
         if numeric is not None:
             self._numeric = numeric
-            self._pattern = (A.indptr, A.indices)
         return x, report
 
     def health_report(

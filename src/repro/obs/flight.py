@@ -48,9 +48,8 @@ __all__ = [
 # Counter suffixes that mark a counter as belonging to a cache family:
 # "schedule.tri.hit" -> family "schedule.tri".  ".evictions" extends the
 # standard families to the serving layer's shared pattern cache
-# ("cache.hit" / "cache.miss" / "cache.evictions") and the sparse
-# schedule caches dropped by an eviction hook — an eviction counts as a
-# regression event exactly like a miss or an invalidation.
+# ("cache.hit" / "cache.miss" / "cache.evictions") — an eviction counts
+# as a regression event exactly like a miss or an invalidation.
 _CACHE_SUFFIXES = (".hit", ".miss", ".invalidate", ".evictions")
 
 

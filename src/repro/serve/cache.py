@@ -13,8 +13,12 @@ Safety under sharing comes from three mechanisms:
   :class:`Lease` that captures the entry's generation at borrow time.
   Any eviction or explicit invalidation bumps the generation, so a
   borrower touching a stale lease gets a typed, *retryable*
-  :class:`~repro.errors.CacheInvalidatedError` instead of silently
-  computing against freed state.
+  :class:`~repro.errors.CacheInvalidatedError` instead of computing
+  against an entry the cache no longer owns.  The generation is the
+  only invalidation: the entry's solver (symbolic analysis, numeric
+  factorization, replay plan, compiled solve schedules) is owned by
+  the entry alone and is freed by reference counting once the entry
+  leaves the map and its last lease is dropped.
 * **LRU + cost-aware eviction.**  When the cache is full, the evictor
   looks at the ``eviction_window`` least-recently-used unleased entries
   and drops the one that is *cheapest to rebuild* (modeled seconds of
@@ -102,20 +106,16 @@ class CacheEntry:
         return self.observed_s.quantile(0.95)
 
     def invalidate(self) -> int:
-        """Bump the generation and drop derived solver caches.
+        """Bump the generation and mark the entry invalid.
 
         Live leases captured before this call now fail their
         :meth:`Lease.check` with a retryable
-        :class:`~repro.errors.CacheInvalidatedError`.
+        :class:`~repro.errors.CacheInvalidatedError`.  The solver state
+        itself is left alone: it is freed with the last reference to
+        the entry.
         """
         self.generation += 1
         self.valid = False
-        sym = getattr(self.solver, "_symbolic", None)
-        if sym is not None and hasattr(sym, "invalidate"):
-            sym.invalidate()
-        num = getattr(self.solver, "_numeric", None)
-        if num is not None:
-            num.invalidate_caches()
         return self.generation
 
 

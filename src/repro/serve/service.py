@@ -466,9 +466,7 @@ class SolverService:
         def build():
             solver = DirectSolver(cfg.solver)
             solver.symbolic_factorization(request.A)
-            sym_ledger = getattr(solver._symbolic, "ledger", None)
-            led = sym_ledger.copy() if sym_ledger is not None else CostLedger()
-            return solver, led
+            return solver, solver._symbolic.ledger.copy()
 
         lease, hit = self.cache.borrow(key, build)
         if not hit:
@@ -614,10 +612,7 @@ class SolverService:
         b = validate_rhs(request.b, request.A.n_rows)
         solver = DirectSolver(cfg.solver)
         solver.symbolic_factorization(request.A)
-        spent = CostLedger()
-        sym_ledger = getattr(solver._symbolic, "ledger", None)
-        if sym_ledger is not None:
-            spent.add(sym_ledger)
+        spent = solver._symbolic.ledger.copy()
         holder = {}
 
         def before_rung(rung, report):

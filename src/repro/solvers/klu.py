@@ -12,6 +12,12 @@ The class follows the analyze / factor / refactor / solve life cycle
 that circuit simulators rely on: ``analyze`` is pattern-only and done
 once per circuit; ``factor`` is repeated for every Newton iteration
 with fresh values (re-pivoting each time, reusing all orderings).
+
+Derived caches ride on the object they are derived from and die with
+it: the per-block dense plans on :class:`KLUSymbolic` (one slot per
+block from ``analyze`` on), the :class:`~repro.sparse.schedule.ReplayPlan`
+on :class:`KLUNumeric`, compiled solve schedules on the factor
+matrices.
 """
 
 from __future__ import annotations
@@ -41,26 +47,18 @@ __all__ = ["KLUSymbolic", "KLUNumeric", "KLU"]
 
 @dataclass
 class KLUSymbolic:
-    """Pattern-only analysis: BTF structure + per-block AMD orderings.
-
-    ``generation`` supports shared-cache eviction protocols: a borrower
-    records the generation at borrow time and any later
-    :meth:`invalidate` (cache eviction, explicit flush) bumps it, so a
-    stale lease is *detected* (typed
-    :class:`~repro.errors.CacheInvalidatedError` in the serving layer)
-    instead of silently recomputing against dropped plans.
-    """
+    """Pattern-only analysis: BTF structure + per-block AMD orderings."""
 
     n: int
     btf_result: BTFResult
     row_perm_pre: np.ndarray   # BTF + AMD rows (before numerical pivoting)
     col_perm: np.ndarray       # BTF + AMD columns (final)
+    # Per-block dense-tail blocking plans for the blocked gp_factor, one
+    # slot per block, filled on first factorization (pattern-only, so
+    # they survive any number of refactor / pivot-fallback cycles on the
+    # fixed pattern).
+    dense_plans: List[Optional[DensePlan]]
     ledger: CostLedger = field(default_factory=CostLedger)
-    # Per-block dense-tail blocking plans for the blocked gp_factor,
-    # cached on first factorization (pattern-only, so they survive any
-    # number of refactor / pivot-fallback cycles on the fixed pattern).
-    dense_plans: Optional[List[Optional[DensePlan]]] = None
-    generation: int = 0
 
     @property
     def n_blocks(self) -> int:
@@ -69,18 +67,6 @@ class KLUSymbolic:
     @property
     def block_splits(self) -> np.ndarray:
         return self.btf_result.block_splits
-
-    def invalidate(self) -> int:
-        """Drop derived pattern caches and bump the generation counter.
-
-        Returns the new generation.  Called by cache-eviction hooks; any
-        lease taken at an older generation must fail typed rather than
-        recompute under the borrower.
-        """
-        self.dense_plans = None
-        self.generation += 1
-        get_tracer().metrics.incr("klu.symbolic.evictions")
-        return self.generation
 
 
 @dataclass
@@ -131,20 +117,6 @@ class KLUNumeric:
         """(L, U) of diagonal block ``k``."""
         lu = self.block_lu[k]
         return lu.L, lu.U
-
-    def invalidate_caches(self) -> int:
-        """Eviction hook: drop the replay plan and the compiled
-        triangular solve schedules on the factor matrices.
-
-        Returns the number of compiled solve schedules released.  Does
-        *not* touch the factors themselves (the object stays usable; it
-        just recompiles on next use) and does not bump the symbolic
-        generation — callers evicting a shared-cache entry combine this
-        with :meth:`KLUSymbolic.invalidate`.
-        """
-        return ReplayPlan.release(
-            self, [self.M] + [m for lu in self.block_lu for m in (lu.L, lu.U)]
-        )
 
 
 class KLU:
@@ -216,7 +188,8 @@ class KLU:
                 row_pre[lo:hi] = row_pre[lo:hi][p]
                 col_perm[lo:hi] = col_perm[lo:hi][p]
             sp.attach(led)
-        return KLUSymbolic(n=n, btf_result=res, row_perm_pre=row_pre, col_perm=col_perm, ledger=led)
+        return KLUSymbolic(n=n, btf_result=res, row_perm_pre=row_pre, col_perm=col_perm,
+                           dense_plans=[None] * res.n_blocks, ledger=led)
 
     # ------------------------------------------------------------------
     @domains(A="matrix[global]")
@@ -247,8 +220,6 @@ class KLU:
             block_ledgers: List[CostLedger] = []
             block_ws: List[float] = []
             row_perm = symbolic.row_perm_pre.copy()  # domain: perm[global->btf]
-            if symbolic.dense_plans is None:
-                symbolic.dense_plans = [None] * symbolic.n_blocks
             for k in range(symbolic.n_blocks):
                 lo, hi = int(splits[k]), int(splits[k + 1])
                 blk = B.submatrix(lo, hi, lo, hi)
@@ -372,12 +343,10 @@ class KLU:
                         prior.schedule = lu.schedule
                     except SingularMatrixError:
                         metrics.incr("klu.refactor.block_fallback")
-                        plans = symbolic.dense_plans
                         lu = gp_factor(blk, pivot_tol=self.pivot_tol,
                                        static_perturb=self.static_perturb, ledger=led,
-                                       dense_plan=plans[k] if plans else None)
-                        if plans is not None:
-                            plans[k] = lu.dense_plan
+                                       dense_plan=symbolic.dense_plans[k])
+                        symbolic.dense_plans[k] = lu.dense_plan
                         if row_perm is numeric.row_perm:
                             row_perm = row_perm.copy()
                         row_perm[lo:hi] = row_perm[lo:hi][lu.row_perm]

@@ -114,11 +114,6 @@ class SupernodalNumeric:
     def factor_seconds(self, machine: MachineModel, n_threads: int = 1) -> float:
         return self.schedule(machine, n_threads).makespan
 
-    def invalidate_caches(self) -> int:
-        """Eviction hook: drop the replay plan and the compiled
-        triangular solve schedules on ``L`` and ``U``."""
-        return ReplayPlan.release(self, (self.L, self.U))
-
 
 class SupernodalLU:
     """Supernodal LU with static pivoting (PMKL stand-in)."""

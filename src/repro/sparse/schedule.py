@@ -19,7 +19,7 @@ Two compiled objects are produced:
   :mod:`repro.core.parsolve`.  Cached on the
   :class:`~repro.sparse.csc.CSC` object itself (patterns are immutable
   by convention), so repeated solves against the same factor compile
-  once.
+  once, and the schedule is freed with the matrix.
 * :class:`RefactorSchedule` — the full elimination schedule for
   values-only refactorization against fixed ``L``/``U`` factors, a
   fixed input pattern and a fixed pivot order.  Levels are computed on
@@ -37,6 +37,14 @@ On top of them, :class:`ReplayPlan` is one pattern's whole values-only
 refactorization — value gathers, one :class:`BlockedRefactorSchedule`
 over every diagonal block, revalidation and per-block results — shared
 by the KLU, Basker and supernodal ``refactor_fast`` paths.
+
+Every compiled object has exactly one owner and dies with it: a
+triangular schedule with its factor matrix, a replay plan with the
+numeric object carrying it as ``refactor_cache``.  A cache that drops
+a solver (the serving layer's pattern cache) frees all of it by
+dropping the reference.  The factor patterns these schedules are keyed
+on move with pivoting, which is why they are not gathered under one
+object keyed on the input pattern.
 
 The replay keeps :class:`~repro.parallel.ledger.CostLedger` counts
 *identical* to the reference loops (updates whose source value is zero
@@ -70,7 +78,6 @@ __all__ = [
     "compile_triangular_schedule",
     "triangular_schedule",
     "adopt_solve_schedules",
-    "drop_solve_schedules",
     "RefactorSchedule",
     "compile_refactor_schedule",
     "permutation_gather",
@@ -355,25 +362,6 @@ def adopt_solve_schedules(src: CSC, dst: CSC) -> None:
     cache = getattr(src, "_solve_schedules", None)
     if cache:
         dst._solve_schedules = dict(cache)
-
-
-def drop_solve_schedules(M: CSC) -> int:
-    """Eviction hook: discard every compiled solve schedule cached on
-    ``M`` and return how many were dropped.
-
-    Used by shared-cache eviction (the serving layer's pattern cache)
-    so evicted factors release their compiled gather/scatter plans
-    instead of pinning them alive.  Each dropped schedule counts as a
-    ``schedule.tri.evictions`` event — the same counter family the
-    flight recorder's ``cache_hit_drop`` drift detector scans.
-    """
-    cache = getattr(M, "_solve_schedules", None)
-    if not cache:
-        return 0
-    n = len(cache)
-    M._solve_schedules = {}
-    get_tracer().metrics.incr("schedule.tri.evictions", n)
-    return n
 
 
 # ======================================================================
@@ -988,14 +976,6 @@ class ReplayPlan:
         else:
             metrics.incr(f"{prefix}.refactor.gather.hit")
         return plan if plan is not None else cls(prefix, A, row_perm, col_perm, splits)
-
-    @staticmethod
-    def release(numeric, matrices) -> int:
-        """Eviction hook of every numeric object: drop its plan and the
-        compiled solve schedules cached on ``matrices`` (its factors and
-        permuted matrix).  Returns the number of schedules released."""
-        numeric.refactor_cache = None
-        return sum(drop_solve_schedules(M) for M in matrices)
 
     # ------------------------------------------------------------------
     @shapes(a_data="f8[k]")

@@ -9,8 +9,9 @@ from repro.ordering import is_permutation
 from repro.ordering.rcm import bandwidth, rcm_order
 from repro.parallel import SANDY_BRIDGE
 from repro.sparse import CSC, solve_residual
+from repro.sparse.verify import componentwise_backward_error
 
-from .helpers import random_sparse
+from .helpers import random_sparse, random_spd_like
 
 
 def _matrix(seed=0):
@@ -90,6 +91,29 @@ class TestDirectSolver:
         assert "symbolic" in repr(s)
         s.numeric_factorization(A)
         assert "numeric" in repr(s)
+
+    @pytest.mark.parametrize("name", ["klu", "basker", "pardiso"])
+    def test_numeric_factorization_reanalyzes_a_new_pattern(self, name):
+        A1 = random_spd_like(60, 0.05, np.random.default_rng(1))
+        A2 = random_spd_like(60, 0.05, np.random.default_rng(2))
+        assert not np.array_equal(A1.indices, A2.indices)
+        s = DirectSolver(name, n_threads=2)
+        s.numeric_factorization(A1)
+        s.numeric_factorization(A2)
+        b = np.random.default_rng(7).standard_normal(A2.n_rows)
+        assert componentwise_backward_error(A2, s.solve(b), b) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["klu", "basker", "pardiso"])
+    def test_solve_resilient_reanalyzes_a_new_pattern(self, name):
+        A1 = random_spd_like(60, 0.05, np.random.default_rng(1))
+        A2 = random_spd_like(60, 0.05, np.random.default_rng(2))
+        s = DirectSolver(name, n_threads=2)
+        b = np.random.default_rng(7).standard_normal(A2.n_rows)
+        s.solve_resilient(A1, b)
+        x, report = s.solve_resilient(A2, b)
+        assert report.succeeded == "refactor"
+        assert [a.rung for a in report.attempts] == ["refactor"]
+        assert componentwise_backward_error(A2, x, b) <= 1e-10
 
 
 class TestRCM:

@@ -1,7 +1,9 @@
 """Tests for repro.serve: admission, deadlines, retries, cache leases,
 circuit breaking, degradation tiers, and soak determinism."""
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -316,20 +318,12 @@ class TestPatternCache:
             l1.check()
         l2.check()                                   # the new lease is fine
 
-    def test_klu_symbolic_generation_counter(self):
-        from repro.solvers.klu import KLU
-
-        A = small_matrix()
-        sym = KLU().analyze(A)
-        assert sym.generation == 0
-        assert sym.invalidate() == 1
-        assert sym.dense_plans is None
-        assert sym.generation == 1
-
-    @pytest.mark.parametrize("solver", ["basker", "pardiso"])
-    def test_invalidate_releases_replay_state(self, solver):
+    @staticmethod
+    def _cached_solver_state(solver):
+        """A DirectSolver that replayed once (plan + compiled solve
+        schedules), and weakrefs to it, its numeric, the numeric's
+        ReplayPlan and one factor's compiled TriangularSchedule."""
         from repro.interface import DirectSolver
-        from repro.obs import Tracer, tracing
 
         A = small_matrix(seed=3, n=40)
         B = CSC(A.n_rows, A.n_cols, A.indptr, A.indices, A.data * 1.01)
@@ -337,15 +331,46 @@ class TestPatternCache:
         ds.numeric_factorization(A)
         ds.solve(np.ones(A.n_rows))      # compiles the solve schedules
         ds.numeric_factorization(B)      # refactor_fast: plan + adopted schedules
-        assert ds._numeric.refactor_cache is not None
+        num = ds._numeric
+        L, _U = num.block_factors(0) if hasattr(num, "block_factors") else (num.L, num.U)
+        refs = [weakref.ref(ds), weakref.ref(num),
+                weakref.ref(num.refactor_cache),
+                weakref.ref(L._solve_schedules["lower"])]
+        return ds, refs
+
+    @pytest.fixture
+    def no_gc(self):
+        """Reference counting only: no cycle collection during the test."""
+        gc.disable()
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize("solver", ["klu", "basker", "pardiso"])
+    def test_evicted_entry_state_is_freed(self, solver, no_gc):
+        # Removing the entry from the cache frees its solver state by
+        # reference counting alone.
         cache = PatternCache(capacity=2)
+        ds, refs = self._cached_solver_state(solver)
         lease, _ = cache.borrow("k1", lambda: (ds, CostLedger()))
+        del ds
         cache.release(lease)
-        tr = Tracer()
-        with tracing(tr):
-            assert cache.invalidate("k1")
-        assert ds._numeric.refactor_cache is None
-        assert tr.metrics.counter("schedule.tri.evictions") > 0
+        del lease
+        assert all(r() is not None for r in refs)
+        assert cache.invalidate("k1")
+        assert [r() for r in refs] == [None] * len(refs)
+
+        # A live lease keeps the state alive but fails its check; the
+        # state dies when the lease is dropped.
+        ds, refs = self._cached_solver_state(solver)
+        lease, _ = cache.borrow("k2", lambda: (ds, CostLedger()))
+        del ds
+        assert cache.invalidate("k2")
+        with pytest.raises(CacheInvalidatedError):
+            lease.check()
+        assert all(r() is not None for r in refs)
+        cache.release(lease)
+        del lease
+        assert [r() for r in refs] == [None] * len(refs)
 
 
 # ----------------------------------------------------------------------
